@@ -21,7 +21,8 @@ report before any timing is reported, the cold query is required to
 beat the naive loop, and the warm query to beat the cold one.  A
 session-cache section replays a reuse-heavy view workload and reports
 the hit rate while asserting occupancy never exceeds the configured
-capacity.  Results go to ``benchmarks/out/catalog.txt``.
+capacity.  Results go to ``benchmarks/out/catalog.txt``; ``--smoke``
+prints only and writes no artifact.
 
 Run::
 
@@ -144,7 +145,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tasks", type=int, default=40,
                         help="tasks per synthetic run")
     parser.add_argument("--smoke", action="store_true",
-                        help="small population for CI (48 runs x 24 tasks)")
+                        help="small population for CI (48 runs x 24 "
+                             "tasks), no artifact write")
     args = parser.parse_args(argv)
     n_runs = 48 if args.smoke else args.runs
     n_tasks = 24 if args.smoke else args.tasks
@@ -208,15 +210,12 @@ def main(argv=None) -> int:
         shutil.rmtree(root, ignore_errors=True)
 
     text = "\n".join(lines)
-    # The CI smoke tier keeps its own artifact so it never clobbers a
-    # recorded full-scale run.
-    out_path = (OUT_PATH.replace(".txt", "_smoke.txt")
-                if args.smoke else OUT_PATH)
-    os.makedirs(os.path.dirname(out_path), exist_ok=True)
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
     print(text)
-    print(f"(saved to {out_path})")
+    if not args.smoke:
+        os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
+        with open(OUT_PATH, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"(saved to {OUT_PATH})")
     return 0
 
 

@@ -3,16 +3,10 @@
 
 Two tiers, mirroring how the engine is actually exercised:
 
-* **micro** — synthetic event storms hammering the kernel's hot paths,
-  each cell measured on **both** timed-lane implementations: the timer
-  wheel (default) and the pure binary heap (``wheel_width=0``), so the
-  wheel-vs-heap ablation is a first-class column:
+* **micro** — synthetic event storms hammering the kernel's hot paths:
 
   - ``timeout_ring``: many processes sleeping on positive-delay
-    timeouts spread over distinct deadlines (generic timed traffic);
-  - ``clustered_herd``: the wheel's acceptance cell — a large herd
-    beating on one shared period, so timestamps cluster into few
-    quanta (the timeout/heartbeat shape real schedulers generate);
+    timeouts spread over distinct deadlines (the timed heap);
   - ``zero_delay``: producer/consumer pairs over a :class:`Store`
     whose puts/gets succeed immediately (the zero-delay fast lane:
     ``succeed()``/``Initialize`` traffic that never touches the
@@ -21,16 +15,14 @@ Two tiers, mirroring how the engine is actually exercised:
     closest to what a real workflow run generates.
 
   Throughput is *scheduled events per second* (the engine's ``_seq``
-  counter over wall time), max over interleaved repetitions (wheel and
-  heap alternate inside each repetition so CPU-frequency drift hits
-  both equally), with the garbage collector paused in the timed
-  region.
+  counter over wall time), the best of the repetitions, with the
+  garbage collector paused in the timed region.
 
 * **run_many** — end-to-end repetition fan-out across the paper
   workflows: serial vs. thread vs. process executors (asserting
   byte-identical event streams per ``run_index``), plus a process-pool
-  speedup curve over worker counts.  ``meta.cpus`` records the cores
-  actually available — process-pool speedup is bounded by it.
+  speedup curve over worker counts.  ``meta.cpus`` records the
+  machine's core count — process-pool speedup is bounded by it.
 
 Run::
 
@@ -46,6 +38,7 @@ import gc
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 
@@ -54,25 +47,25 @@ sys.path.insert(
                     os.pardir, "src"))
 
 from repro.sim import Environment, Store  # noqa: E402
-from repro.sim.engine import Timeout  # noqa: E402
 
 OUT_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "out", "engine.txt")
 
-#: Wall-time budget for ``--smoke`` (seconds): every micro cell —
-#: including both sides of the wheel-vs-heap ablation — plus the tiny
-#: run_many pass must finish inside it, or the run exits 1.
+#: Wall-time budget for ``--smoke`` (seconds): every micro cell plus
+#: the tiny run_many pass must finish inside it, or the run exits 1.
 SMOKE_BUDGET_SECONDS = 90.0
+
+#: Processes (or producer/consumer pairs) per micro storm.
+MICRO_PROCS = 50
 
 
 # ---------------------------------------------------------------------------
 # micro workloads
 # ---------------------------------------------------------------------------
 
-def _timeout_ring(n_procs: int, n_steps: int,
-                  wheel_width=None) -> Environment:
+def _timeout_ring(n_procs: int, n_steps: int) -> Environment:
     """Timed storm over distinct deadlines (one period per process)."""
-    env = _env(wheel_width)
+    env = Environment()
 
     def sleeper(delay):
         for _ in range(n_steps):
@@ -83,32 +76,9 @@ def _timeout_ring(n_procs: int, n_steps: int,
     return env
 
 
-def _clustered_herd(n_procs: int, n_steps: int,
-                    wheel_width=None) -> Environment:
-    """The wheel's home turf: a herd beating on one shared period.
-
-    Every wake-up schedules the next beat at ``now + 0.25``, so all
-    pending deadlines cluster into a handful of wheel quanta — the
-    timeout-ring/heartbeat shape that makes a binary heap pay its
-    O(log n) on every one of ``n_procs`` sift-downs.  Timeouts are
-    constructed directly (not via ``env.timeout``) exactly as the
-    engine-internal hot paths do.
-    """
-    env = _env(wheel_width)
-
-    def beater():
-        for _ in range(n_steps):
-            yield Timeout(env, 0.25)
-
-    for _ in range(n_procs):
-        env.process(beater())
-    return env
-
-
-def _zero_delay(n_pairs: int, n_items: int,
-                wheel_width=None) -> Environment:
+def _zero_delay(n_pairs: int, n_items: int) -> Environment:
     """Fast-lane storm: immediate Store put/get succeed() traffic."""
-    env = _env(wheel_width)
+    env = Environment()
 
     def producer(store):
         for i in range(n_items):
@@ -125,9 +95,9 @@ def _zero_delay(n_pairs: int, n_items: int,
     return env
 
 
-def _mixed(n_procs: int, n_steps: int, wheel_width=None) -> Environment:
+def _mixed(n_procs: int, n_steps: int) -> Environment:
     """Alternating timeout / immediate-event traffic."""
-    env = _env(wheel_width)
+    env = Environment()
 
     def worker(delay):
         for i in range(n_steps):
@@ -141,20 +111,10 @@ def _mixed(n_procs: int, n_steps: int, wheel_width=None) -> Environment:
     return env
 
 
-def _env(wheel_width):
-    return Environment() if wheel_width is None \
-        else Environment(wheel_width=wheel_width)
-
-
-#: name -> (builder, (n_procs, n_steps) sizer).  ``clustered_herd``
-#: uses a wide/shallow shape (many processes, few beats each) because
-#: the wheel's win scales with how many deadlines share a quantum.
 MICRO_WORKLOADS = {
-    "timeout_ring": (_timeout_ring, lambda scale: (50, scale)),
-    "clustered_herd": (_clustered_herd,
-                       lambda scale: (25 * scale, 8)),
-    "zero_delay": (_zero_delay, lambda scale: (50, scale)),
-    "mixed": (_mixed, lambda scale: (50, scale)),
+    "timeout_ring": _timeout_ring,
+    "zero_delay": _zero_delay,
+    "mixed": _mixed,
 }
 
 
@@ -171,37 +131,36 @@ def _timed_run(env: Environment) -> float:
 
 
 def run_micro(repeats: int, scale: int) -> dict:
-    """Wheel-vs-heap matrix: max-of-``repeats`` events/s per cell.
+    """Best-of-``repeats`` events/s per cell, ``scale`` steps each.
 
-    Repetitions interleave the two kernel variants so slow container
-    drift (shared-CPU noise is ±10-20% here) degrades both columns of
-    a cell equally instead of biasing the ratio.
+    Each pass runs every cell once, so slow host drift (a shared host's
+    CPU speed can drift by ~40% over tens of seconds, and noise only
+    ever slows a pass down) spreads over all cells instead of biasing
+    one.
     """
-    results: dict[str, dict] = {}
-    for name, (build, sizer) in MICRO_WORKLOADS.items():
-        n_procs, n_steps = sizer(scale)
-        best = {"wheel": 0.0, "heap": 0.0}
-        events = {"wheel": 0, "heap": 0}
-        pair = (("wheel", None), ("heap", 0))
-        for rep in range(repeats):
-            # Alternate which variant goes first so burst-scheduled
-            # (cgroup-throttled) CPU time can't systematically favour
-            # one side of the ablation.
-            for variant, width in (pair if rep % 2 == 0
-                                   else tuple(reversed(pair))):
-                env = build(n_procs, n_steps, wheel_width=width)
-                elapsed = _timed_run(env)
-                events[variant] = env._seq
-                best[variant] = max(best[variant], env._seq / elapsed)
-        assert events["wheel"] == events["heap"], \
-            f"{name}: wheel and heap processed different event counts"
-        results[name] = {
-            "events": events["wheel"],
-            "wheel_events_per_s": round(best["wheel"]),
-            "heap_events_per_s": round(best["heap"]),
-            "wheel_vs_heap": round(best["wheel"] / best["heap"], 2),
-        }
-    return results
+    rates: dict[str, list[float]] = {name: [] for name in MICRO_WORKLOADS}
+    events: dict[str, int] = {}
+    for _ in range(repeats):
+        for name, build in MICRO_WORKLOADS.items():
+            env = build(MICRO_PROCS, scale)
+            elapsed = _timed_run(env)
+            events[name] = env._seq
+            rates[name].append(env._seq / elapsed)
+    return {name: {"events": events[name],
+                   "events_per_s": round(max(rates[name]))}
+            for name in MICRO_WORKLOADS}
+
+
+def git_revision() -> str:
+    """Commit measured, suffixed ``-dirty`` for uncommitted edits."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=os.path.dirname(os.path.abspath(__file__)),
+            capture_output=True, text=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out.stdout.strip()
 
 
 # ---------------------------------------------------------------------------
@@ -278,16 +237,12 @@ def run_scaling(scale: float, n_runs: int, workers: int,
 def render(document: dict) -> str:
     lines = [f"engine benchmark (python {document['meta']['python']}, "
              f"{document['meta']['cpus']} cpu(s))"]
-    lines.append("\nmicro (events/second, max of "
-                 f"{document['meta']['repeats']} interleaved reps, "
-                 "gc off):")
-    lines.append(f"  {'workload':<16} {'events':>9}  {'wheel ev/s':>12}  "
-                 f"{'heap ev/s':>12}  {'wheel/heap':>10}")
+    lines.append("\nmicro (events/second, best of "
+                 f"{document['meta']['repeats']} reps, gc off):")
+    lines.append(f"  {'workload':<16} {'events':>9}  {'events/s':>12}")
     for name, row in document["micro"].items():
         lines.append(f"  {name:<16} {row['events']:>9}  "
-                     f"{row['wheel_events_per_s']:>12,}  "
-                     f"{row['heap_events_per_s']:>12,}  "
-                     f"{row['wheel_vs_heap']:>9.2f}x")
+                     f"{row['events_per_s']:>12,}")
     for name, row in document.get("run_many", {}).items():
         lines.append(
             f"\nrun_many {name}: n_runs={row['n_runs']} "
@@ -308,8 +263,7 @@ def render(document: dict) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9,
-                        help="interleaved passes per micro cell "
-                             "(default 9)")
+                        help="passes per micro cell (default 9)")
     parser.add_argument("--micro-scale", type=int, default=2000,
                         help="steps per process in micro workloads")
     parser.add_argument("--scale", type=float, default=0.05,
@@ -342,8 +296,13 @@ def main(argv=None) -> int:
 
     document = {
         "meta": {
-            "python": platform.python_version(),
             "cpus": os.cpu_count(),
+            "python": platform.python_version(),
+            "git_revision": git_revision(),
+            "estimator": "micro: max events/s over `repeats` passes "
+                         "that each run every cell once, gc off; "
+                         "run_many: one wall-clock pass per executor "
+                         "and pool width",
             "repeats": repeats,
         },
         "micro": run_micro(repeats, micro_scale),
@@ -364,25 +323,17 @@ def main(argv=None) -> int:
     print(text)
 
     if args.smoke:
-        # Budget guard: every micro cell must have produced both sides
-        # of the wheel-vs-heap ablation, and the whole pass must land
-        # inside the wall-time budget — a silent 10x kernel regression
-        # busts the budget instead of shipping unnoticed.
+        # Budget guard: the whole pass must land inside the wall-time
+        # budget — a silent 10x kernel regression busts the budget
+        # instead of shipping unnoticed.
         elapsed = time.perf_counter() - smoke_start
-        for name, row in document["micro"].items():
-            if row["wheel_events_per_s"] <= 0 \
-                    or row["heap_events_per_s"] <= 0:
-                print(f"smoke FAILED: {name} ablation cell incomplete",
-                      file=sys.stderr)
-                return 1
         if elapsed > SMOKE_BUDGET_SECONDS:
             print(f"smoke pass took {elapsed:.1f} s, over the "
                   f"{SMOKE_BUDGET_SECONDS:.1f} s budget",
                   file=sys.stderr)
             return 1
         print(f"smoke OK: {elapsed:.1f} s, within budget "
-              f"({SMOKE_BUDGET_SECONDS:.0f} s), wheel-vs-heap ablation "
-              f"covered for {len(document['micro'])} cells")
+              f"({SMOKE_BUDGET_SECONDS:.0f} s)")
     else:
         os.makedirs(os.path.dirname(OUT_PATH), exist_ok=True)
         with open(OUT_PATH, "a", encoding="utf-8") as fh:

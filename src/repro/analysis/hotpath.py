@@ -49,9 +49,7 @@ UNBOUNDED_COLLECTIONS = frozenset({
     "spilled",          # worker: one entry per evicted result
     "members",          # ssg: one entry per group member
     "_unfinished",      # scheduler: one entry per unsettled task
-    "_buckets",         # engine wheel: one bucket per pending quantum
-    "_ready",           # engine wheel: the active bucket's entries
-    "_overflow",        # engine: sparse far-future / exotic-priority tail
+    "_timed",           # engine: one heap entry per pending timed event
 })
 
 #: Per-event-reachable functions whose scans amortize: they run once
@@ -66,13 +64,6 @@ AMORTIZED_FUNCTIONS = frozenset({
     "_liveness_loop",          # interval-paced (also a loop driver)
     "add_worker",              # once per registration; exact occupancy
     "remove_worker",           # resync point for the incremental total
-    # Timer-wheel bucket maintenance: activation sorts and drains one
-    # bucket exactly once, and reconciliation re-parks the cursor only
-    # on the rare earlier-quantum insert — both O(bucket) costs paid
-    # once per *bucket*, so O(1) amortized per event, not per-event
-    # linear work.
-    "_activate_bucket",        # once per bucket lifetime
-    "_reconcile_wheel",        # rare cursor re-park (earlier insert)
 })
 
 _AGGREGATORS = frozenset({"sum", "min", "max", "any", "all"})

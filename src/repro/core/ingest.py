@@ -139,10 +139,13 @@ class RunData:
     # ------------------------------------------------------------------
     def __getstate__(self):
         # Keep pickles lean for the process-pool transport in
-        # ``run_many``: the columnar store is a derived index rebuilt
-        # lazily on first access, so never ship it between processes.
+        # ``run_many``: the columnar store and the analysis session are
+        # derived caches rebuilt lazily on first access, so never ship
+        # them between processes (the session also holds a lock, which
+        # cannot be pickled).
         state = dict(self.__dict__)
         state.pop("_store", None)
+        state.pop("_analysis_session", None)
         return state
 
     # ------------------------------------------------------------------

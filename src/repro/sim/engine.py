@@ -27,38 +27,28 @@ Design notes
 Hot-path layout
 ---------------
 The kernel is the innermost loop of every benchmark and repetition in
-this repository, so the queue is split into lanes that together realise
-the exact ``(time, priority, sequence)`` total order at a fraction of
-the cost (see ``docs/performance.md``):
+this repository, so the queue is split into three lanes that together
+realise the exact ``(time, priority, sequence)`` total order (see
+``docs/performance.md``):
 
 * one FIFO deque for zero-delay, priority-0 schedules (``succeed()`` /
   ``fail()`` / process completion — the bulk of all traffic);
 * one FIFO deque for zero-delay, priority ``-1`` schedules
   (:class:`Initialize`, interrupts);
-* a **timer wheel** (calendar queue) for positive-delay, priority-0
-  timeouts — the clustered timestamps of heartbeats, poll intervals and
-  compute/IO completions that used to dominate ``heappush``/``heappop``
-  cost;
-* a binary-heap **overflow lane** for everything the wheel does not
-  take: exotic priorities, negative timestamps, far-future deadlines,
-  and (when the wheel is disabled via ``wheel_width=0``) all timed
-  events — the exact pre-wheel behaviour.
+* one binary heap for everything else: positive delays, and zero-delay
+  events at any other priority.
 
 Because the clock never moves backwards and the sequence number only
-grows, each deque is already sorted by the global key.  The wheel hashes
-a timestamp to a bucket (``int(when * scale)``) — an order-preserving,
-monotone quantisation — keeps a small heap of *active bucket indexes*,
-and sorts one bucket at a time lazily when the drain cursor reaches it,
-so schedule/pop is O(1) amortized for clustered timestamps.  A cached
-``_timed_next`` deadline (always exact) lets ``peek()`` and the run
-loops compare one float instead of scanning three containers.  All
-event classes declare ``__slots__``, and the monitor-free ``run()``
+grows, each deque is already sorted by the global key, so only timed
+traffic pays ``heappush``/``heappop``.  The next event is the least of
+the three lane heads, compared as ``(when, priority, seq, event)``
+tuples; ``seq`` is unique, so the comparison never reaches the event.
+All event classes declare ``__slots__``, and the monitor-free ``run()``
 loop is inlined with the lanes hoisted into locals.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from collections import deque
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -73,7 +63,6 @@ __all__ = [
     "AnyOf",
     "MonitorChain",
     "SimulationError",
-    "WHEEL_WIDTH",
 ]
 
 
@@ -96,18 +85,6 @@ class Interrupt(Exception):
 PENDING = object()
 
 _INF = float("inf")
-
-#: Default timer-wheel bucket width, seconds.  Simulated control traffic
-#: clusters on 10ms-to-1s grids (heartbeats, tick loops, control-plane
-#: hops), so a 1/16 s bucket keeps the per-bucket sort small while
-#: amortizing the bucket-index heap over many events.  Power-of-two
-#: denominator so quantisation stays exact for grid-aligned floats.
-WHEEL_WIDTH = 1.0 / 16.0
-
-#: Timestamps at or beyond this bound bypass the wheel (the quantised
-#: bucket index would overflow / lose all resolution); they take the
-#: overflow heap instead, like any other sparse long-tail deadline.
-_WHEEL_HORIZON = 1e15
 
 
 class Event:
@@ -212,40 +189,7 @@ class Timeout(Event):
         env._seq = seq = env._seq + 1
         if delay > 0.0:
             when = env._now + delay
-            # Inlined ``env._insert_timed`` for the wheel's common case:
-            # a nonnegative, sub-horizon, priority-0 deadline.  Mirror of
-            # the method — keep the two in sync.
-            scale = env._wheel_scale
-            if scale and _WHEEL_HORIZON > when >= 0.0:
-                q = int(when * scale)
-                if q == env._last_q:
-                    env._last_append((when, 0, seq, self))
-                else:
-                    bucket = env._buckets.get(q)
-                    if bucket is not None:
-                        bucket.append((when, 0, seq, self))
-                        env._last_q = q
-                        env._last_append = bucket.append
-                    elif (q == env._ready_q
-                          and env._ready_pos < len(env._ready)):
-                        insort(env._ready, (when, 0, seq, self),
-                               env._ready_pos)
-                    else:
-                        bucket = [(when, 0, seq, self)]
-                        env._buckets[q] = bucket
-                        heappush(env._bucket_heap, q)
-                        env._last_q = q
-                        env._last_append = bucket.append
-                        if q < env._ready_q and (
-                                env._ready_pos < len(env._ready)):
-                            # Earlier quantum than the live cursor:
-                            # re-park it now, so the drain loop never
-                            # has to test for this case.
-                            env._reconcile_wheel()
-            else:
-                heappush(env._overflow, (when, 0, seq, self))
-            if when < env._timed_next:
-                env._timed_next = when
+            heappush(env._timed, (when, 0, seq, self))
         elif delay == 0.0:
             env._fast0.append((env._now, 0, seq, self))
             when = env._now
@@ -466,21 +410,16 @@ class MonitorChain:
 class Environment:
     """Execution environment: virtual clock plus the event queue.
 
-    ``wheel_width`` sets the timer-wheel bucket width in simulated
-    seconds (default :data:`WHEEL_WIDTH`); pass ``0`` to disable the
-    wheel entirely, routing every timed event through the overflow
-    binary heap — the pre-wheel kernel, kept as an ablation/fallback
-    mode for the benchmarks and the differential tests.
+    The clock starts at ``initial_time`` (which may be negative) and
+    only moves forward.  The queue is the three lanes described in the
+    module docstring: two zero-delay FIFO deques and one binary heap
+    for timed events.
     """
 
-    __slots__ = ("_now", "_overflow", "_fast0", "_fastneg", "_seq",
-                 "_active_process", "monitor",
-                 "_buckets", "_bucket_heap", "_ready", "_ready_q",
-                 "_ready_pos", "_wheel_scale",
-                 "_timed_next", "_last_q", "_last_append")
+    __slots__ = ("_now", "_timed", "_fast0", "_fastneg", "_seq",
+                 "_active_process", "monitor")
 
-    def __init__(self, initial_time: float = 0.0,
-                 wheel_width: Optional[float] = None):
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         #: Zero-delay fast lanes; see the module docstring.  Each holds
         #: ``(when, priority, seq)``-sorted entries by construction
@@ -489,51 +428,10 @@ class Environment:
         #: traffic.
         self._fast0: deque[tuple[float, int, int, Event]] = deque()
         self._fastneg: deque[tuple[float, int, int, Event]] = deque()
-        # -- timed lane: timer wheel + overflow heap --------------------
-        # Buckets keyed by the quantised timestamp ``int(when * scale)``
-        # (monotone in ``when``, so bucket order is time order); only
-        # *pending* quanta exist in the dict, and ``_bucket_heap`` is a
-        # min-heap of exactly those keys.  The bucket the drain cursor
-        # is parked on lives in ``_ready``, sorted ascending with
-        # ``_ready_pos`` indexing its head — a pop is an index bump, and
-        # a fresh schedule landing in the cursor's own quantum is a C
-        # ``insort`` into the live tail.  The one case that invalidates
-        # the cursor — a schedule creating a bucket *earlier* than the
-        # cursor's quantum (only possible when the clock sits below the
-        # active bucket's start) — re-parks it eagerly at insert time
-        # via :meth:`_reconcile_wheel`, so the drain loop never checks
-        # for it.  ``_ready`` / ``_bucket_heap`` / ``_overflow`` are
-        # never rebound, so the inline run loop can hoist them into
-        # locals.
-        self._buckets: dict[int, list] = {}
-        self._bucket_heap: list[int] = []
-        self._ready: list[tuple[float, int, int, Event]] = []
-        self._ready_q = 0
-        self._ready_pos = 0
-        #: Bound ``append`` of the last dict bucket appended to —
-        #: clustered traffic lands in the same target bucket almost
-        #: every schedule, so this skips both the dict probe and the
-        #: method bind.  Invalidated when activation removes the bucket
-        #: from the table (quanta are nonnegative, so -1 never
-        #: matches).
-        self._last_q = -1
-        self._last_append: Optional[Callable[[tuple], None]] = None
-        #: Overflow heap: exotic priorities, negative/huge timestamps,
-        #: and every timed event when the wheel is disabled.
-        self._overflow: list[tuple[float, int, int, Event]] = []
-        if wheel_width is None:
-            wheel_width = WHEEL_WIDTH
-        if wheel_width < 0:
-            raise ValueError(f"negative wheel_width {wheel_width}")
-        self._wheel_scale = 1.0 / wheel_width if wheel_width else 0.0
-        #: Cached next timed deadline: an exact *lower bound* on the
-        #: earliest ``when`` across wheel + overflow (``inf`` only when
-        #: the timed lane is empty).  Inserts lower it; pops are allowed
-        #: to leave it stale-low, because a lower bound can only make
-        #: the lane merge take its exact slow path (never pop out of
-        #: order).  :meth:`_timed_head` refreshes it to the exact value,
-        #: so ``peek()`` stays exact.
-        self._timed_next = _INF
+        #: Timed lane: a binary heap of every other entry (positive
+        #: delays, exotic priorities).  Never rebound, so the inline run
+        #: loop can hoist it into a local.
+        self._timed: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
         #: Optional observer (e.g. the event-ordering sanitizer in
@@ -649,201 +547,41 @@ class Environment:
             elif priority == -1:
                 self._fastneg.append((now, -1, seq, event))
             else:
-                self._insert_timed((now, priority, seq, event))
+                heappush(self._timed, (now, priority, seq, event))
             when = now
         else:
             when = now + delay
-            self._insert_timed((when, priority, seq, event))
+            heappush(self._timed, (when, priority, seq, event))
         if self.monitor is not None:
             self.monitor.on_schedule(event, when, priority, seq, now)
-
-    def _insert_timed(self, entry: tuple) -> None:
-        """File one entry into the timed lane (wheel or overflow).
-
-        The wheel takes nonnegative, sub-horizon, priority-0 deadlines —
-        the clustered traffic it exists for; everything else (exotic
-        priorities, time travel produced by negative clocks, the sparse
-        far-future tail, or *all* timed entries when the wheel is
-        disabled) goes to the overflow heap.  Both structures feed the
-        same exact-order merge, so the split is pure routing.
-        """
-        when = entry[0]
-        scale = self._wheel_scale
-        if scale and entry[1] == 0 and _WHEEL_HORIZON > when >= 0.0:
-            q = int(when * scale)
-            if q == self._last_q:
-                self._last_append(entry)
-            else:
-                bucket = self._buckets.get(q)
-                if bucket is not None:
-                    bucket.append(entry)
-                    self._last_q = q
-                    self._last_append = bucket.append
-                elif (q == self._ready_q
-                      and self._ready_pos < len(self._ready)):
-                    # Lands in the bucket currently being drained:
-                    # insort into the live tail keeps the cursor valid.
-                    insort(self._ready, entry, self._ready_pos)
-                else:
-                    bucket = [entry]
-                    self._buckets[q] = bucket
-                    heappush(self._bucket_heap, q)
-                    self._last_q = q
-                    self._last_append = bucket.append
-                    if q < self._ready_q and (
-                            self._ready_pos < len(self._ready)):
-                        # Earlier quantum than the live cursor: re-park
-                        # it now (see the :class:`Timeout` mirror).
-                        self._reconcile_wheel()
-        else:
-            heappush(self._overflow, entry)
-        if when < self._timed_next:
-            self._timed_next = when
-
-    # -- timed-lane drain ------------------------------------------------
-    def _activate_bucket(self) -> None:
-        """Park the drain cursor on the earliest pending bucket.
-
-        Requires an exhausted cursor and a non-empty bucket heap.  Pops
-        the minimum quantum and sorts its entries into ``_ready``
-        (ascending; ``_ready_pos`` rewinds to 0).  Amortized O(1) per
-        event for clustered timestamps: every bucket is sorted exactly
-        once per activation, and same-time entries arrive in ``seq``
-        order, so the sort sees one pre-sorted run.
-        """
-        q = heappop(self._bucket_heap)
-        bucket = self._buckets.pop(q)
-        if q == self._last_q:
-            # The cached append target just left the table.
-            self._last_q = -1
-            self._last_append = None
-        bucket.sort()
-        ready = self._ready
-        ready[:] = bucket
-        self._ready_pos = 0
-        self._ready_q = q
-
-    def _reconcile_wheel(self) -> None:
-        """Re-park the cursor after an earlier-quantum insertion.
-
-        Called eagerly by the insert paths when a schedule creates a
-        bucket earlier than the live cursor's quantum.  The live
-        remainder of the cursor is stashed back into the bucket table,
-        then the true minimum bucket is activated.  Each entry is
-        stashed at most once per earlier-quantum insertion — which
-        itself requires the clock to sit below the active bucket's
-        start — so the amortized bound survives.
-        """
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready):
-            q = self._ready_q
-            bucket = self._buckets.get(q)
-            if bucket is None:
-                self._buckets[q] = ready[pos:]
-                heappush(self._bucket_heap, q)
-            else:
-                bucket.extend(ready[pos:])
-        del ready[:]
-        self._ready_pos = 0
-        self._activate_bucket()
-
-    def _wheel_head(self) -> Optional[tuple]:
-        """The wheel's minimal entry (not removed), or ``None``."""
-        ready = self._ready
-        pos = self._ready_pos
-        if pos < len(ready):
-            return ready[pos]
-        if not self._bucket_heap:
-            return None
-        self._activate_bucket()
-        return ready[0]
-
-    def _timed_head(self) -> Optional[tuple]:
-        """The timed lane's minimal entry (not removed), or ``None``.
-
-        Also refreshes the cached ``_timed_next`` lower bound to the
-        exact head deadline (``inf`` when the lane is empty).
-        """
-        head = self._wheel_head()
-        overflow = self._overflow
-        if overflow and (head is None or overflow[0] < head):
-            head = overflow[0]
-        self._timed_next = head[0] if head is not None else _INF
-        return head
-
-    def _pop_timed(self) -> tuple:
-        """Remove and return the timed lane's minimal entry.
-
-        The caller guarantees the timed lane is non-empty.  Refreshes
-        the cached ``_timed_next`` deadline so it is exact on return.
-        """
-        head = self._wheel_head()
-        overflow = self._overflow
-        if head is None or (overflow and overflow[0] < head):
-            entry = heappop(overflow)
-        else:
-            # Null the drained slot: the dead prefix must not pin
-            # popped events alive (at 10k-entry buckets that defeats
-            # allocator reuse and costs ~2x in drain throughput).
-            pos = self._ready_pos
-            self._ready[pos] = None
-            self._ready_pos = pos + 1
-            entry = head
-        head = self._wheel_head()
-        if overflow and (head is None or overflow[0] < head):
-            self._timed_next = overflow[0][0]
-        elif head is not None:
-            self._timed_next = head[0]
-        else:
-            # Timed lane drained: drop the cursor's dead prefix so it
-            # does not pin popped events alive.
-            del self._ready[:]
-            self._ready_pos = 0
-            self._timed_next = _INF
-        return entry
 
     def _pop_next(self) -> Optional[tuple[float, int, int, Event]]:
         """Remove and return the globally next entry, or ``None``.
 
-        Merges the lane heads by their ``(when, priority, seq)`` prefix
-        — ``seq`` is unique, so the comparison never reaches the event
-        object.  The cached ``_timed_next`` deadline short-circuits the
-        common case (a fast-lane event strictly earlier than any timed
-        deadline) without touching the wheel at all.
+        Merges the three lane heads by their ``(when, priority, seq)``
+        prefix — ``seq`` is unique, so the comparison never reaches the
+        event object.
         """
         fastneg = self._fastneg
         fast0 = self._fast0
+        timed = self._timed
         if fastneg:
             cand = fastneg
             if fast0 and fast0[0] < fastneg[0]:
                 cand = fast0
         elif fast0:
             cand = fast0
+        elif timed:
+            return heappop(timed)
         else:
-            cand = None
-        if cand is not None:
-            head = cand[0]
-            if head[0] < self._timed_next:
-                # Strictly earlier than the timed lower bound: exact.
-                return cand.popleft()
-            timed = self._timed_head()
-            if timed is None or head < timed:
-                return cand.popleft()
-            return self._pop_timed()
-        if self._timed_head() is not None:
-            return self._pop_timed()
-        return None
+            return None
+        if timed and timed[0] < cand[0]:
+            return heappop(timed)
+        return cand.popleft()
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none.
-
-        One comparison per lane: :meth:`_timed_head` refreshes the
-        cached ``_timed_next`` deadline to its exact value, so no
-        container scan happens here.
-        """
-        self._timed_head()
-        best = self._timed_next
+        """Time of the next scheduled event, or ``inf`` if none."""
+        best = self._timed[0][0] if self._timed else _INF
         fastneg = self._fastneg
         if fastneg and fastneg[0][0] < best:
             best = fastneg[0][0]
@@ -855,14 +593,7 @@ class Environment:
     @property
     def has_events(self) -> bool:
         """Whether any event is still scheduled."""
-        return bool(self._fast0 or self._fastneg or self._overflow
-                    or self._bucket_heap
-                    or self._ready_pos < len(self._ready))
-
-    def _pending(self) -> bool:
-        return bool(self._fast0 or self._fastneg or self._overflow
-                    or self._bucket_heap
-                    or self._ready_pos < len(self._ready))
+        return bool(self._fast0 or self._fastneg or self._timed)
 
     def step(self) -> None:
         """Process the next scheduled event."""
@@ -893,25 +624,13 @@ class Environment:
         Behaviourally identical to calling :meth:`step` until ``stop``
         is processed (or forever when ``stop`` is ``None``), but with
         the lanes hoisted into locals so the common case does no
-        per-event attribute lookups.  ``_ready``/``_bucket_heap``/
-        ``_overflow`` are never rebound, so their hoisted references
-        stay valid across wheel maintenance; the timed pop is inlined
-        for the two dominant cases (live wheel cursor with an empty
-        overflow heap; pure-overflow traffic, i.e. the heap-fallback
-        mode) and falls back to :meth:`_pop_timed` otherwise.  The
-        wheel-cursor pop is bounds-checked by the subscript itself
-        (``IndexError`` → activate the next bucket or stop), and it
-        does *not* maintain the cached ``_timed_next`` deadline — pops
-        only ever leave the cache stale-low, which the lane merge and
-        ``peek()`` tolerate by design.  Only entered when ``monitor is
+        per-event attribute lookups.  Only entered when ``monitor is
         None``; a monitor attached mid-run takes effect from the next
         ``run()``/``step()`` call.
         """
         fast0 = self._fast0
         fastneg = self._fastneg
-        ready = self._ready
-        bheap = self._bucket_heap
-        overflow = self._overflow
+        timed = self._timed
         while True:
             if stop is not None and stop.callbacks is None:
                 return
@@ -922,74 +641,17 @@ class Environment:
                     cand = fast0
                 else:
                     cand = fastneg
-                head = cand[0]
-                if head[0] < self._timed_next:
-                    # Strictly earlier than the timed lane's cached
-                    # lower bound: the fast-lane head wins exactly.
+                if timed and timed[0] < cand[0]:
+                    best = heappop(timed)
+                else:
                     best = cand.popleft()
-                else:
-                    pos = self._ready_pos
-                    if not overflow and pos < len(ready):
-                        # Live wheel cursor: compare the two heads
-                        # directly — same-time traffic (a draining
-                        # bucket interleaved with zero-delay completions
-                        # at the bucket's own timestamp) stays on this
-                        # path for its whole run, so it must not pay a
-                        # method call per event.
-                        timed = ready[pos]
-                        if head < timed:
-                            best = cand.popleft()
-                            # Exact refresh re-arms the strict fast
-                            # compare above.
-                            self._timed_next = timed[0]
-                        else:
-                            best = timed
-                            ready[pos] = None
-                            self._ready_pos = pos + 1
-                    else:
-                        # ``_timed_head`` refreshes the cache, so one
-                        # slow merge re-arms the fast compare above.
-                        timed = self._timed_head()
-                        if timed is None or head < timed:
-                            best = cand.popleft()
-                        else:
-                            best = self._pop_timed()
-            elif not overflow:
-                # Wheel-only: a pop is one subscript plus an index
-                # bump.  The subscript doubles as the bounds check —
-                # ``IndexError`` means the cursor is exhausted (or the
-                # wheel is empty).  The drained slot is nulled so the
-                # dead prefix never pins popped events alive (pinning
-                # 10k-entry buckets defeats allocator reuse, ~2x drain
-                # cost).
-                pos = self._ready_pos
-                try:
-                    best = ready[pos]
-                except IndexError:
-                    if bheap:
-                        self._activate_bucket()
-                        best = ready[0]
-                        ready[0] = None
-                        self._ready_pos = 1
-                    elif stop is None:
-                        return
-                    else:
-                        raise SimulationError(
-                            f"deadlock: event {stop!r} will never fire"
-                        ) from None
-                else:
-                    ready[pos] = None
-                    self._ready_pos = pos + 1
-            elif bheap or self._ready_pos < len(ready):
-                best = self._pop_timed()
+            elif timed:
+                best = heappop(timed)
+            elif stop is None:
+                return
             else:
-                # Overflow-only (heap-fallback mode / pure long tail):
-                # the classic heap pop, inlined.  Re-arm the deadline
-                # cache exactly — one subscript here saves the fast
-                # lanes a ``_timed_head()`` call per merge while the
-                # heap stays the active lane.
-                best = heappop(overflow)
-                self._timed_next = overflow[0][0] if overflow else _INF
+                raise SimulationError(
+                    f"deadlock: event {stop!r} will never fire")
             event = best[3]
             self._now = best[0]
             callbacks = event.callbacks
@@ -1013,7 +675,7 @@ class Environment:
             if self.monitor is None:
                 self._run_inline(None)
             else:
-                while self._pending():
+                while self.has_events:
                     self.step()
             return None
         if isinstance(until, Event):
@@ -1022,7 +684,7 @@ class Environment:
                 self._run_inline(stop)
             else:
                 while not stop.processed:
-                    if not self._pending():
+                    if not self.has_events:
                         raise SimulationError(
                             f"deadlock: event {stop!r} will never fire"
                         )

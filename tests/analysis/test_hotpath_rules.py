@@ -119,49 +119,24 @@ class TestLinearScan:
                     yield self.env.timeout(0.0)
         """}) == []
 
-    def test_wheel_bucket_scan_flagged_outside_allowlist(self, tmp_path):
-        # Anti-rot for the timer-wheel exemptions: the wheel containers
-        # ARE unbounded collections, and a per-event scan over them in
-        # any function *not* on the amortized allowlist must still
-        # fire.  If this stops failing-when-planted, the allowlist has
-        # silently swallowed the rule.
+    def test_timed_heap_scan_flagged(self, tmp_path):
+        # Anti-rot for the engine entry: the timed heap IS an unbounded
+        # collection, and a per-event scan over it must fire.  If this
+        # stops failing-when-planted, the rule has silently stopped
+        # covering the kernel.
         findings = lint_sources(tmp_path, {"eng.py": """
             class Environment:
                 def submit(self, spec):
                     self.process(self._dispatch(spec))
 
                 def _dispatch(self, spec):
-                    stale = [q for q in self._buckets if q < spec.q]
-                    nxt = min(self._overflow)
+                    late = [e for e in self._timed if e[0] > spec.when]
+                    nxt = min(self._timed)
                     yield self.timeout(0.0)
         """})
-        names = rule_names(findings)
-        assert names == ["hot-linear-scan", "hot-linear-scan"]
-        attrs = sorted(f.message.split("'")[1] for f in findings)
-        assert attrs == ["_buckets", "_overflow"]
-
-    def test_wheel_maintenance_functions_exempt(self, tmp_path):
-        # The same scans amortize inside bucket activation/reconcile:
-        # each bucket is sorted and drained exactly once, so the
-        # allowlist must keep them quiet.
-        assert lint_sources(tmp_path, {"eng.py": """
-            class Environment:
-                def submit(self, spec):
-                    self.process(self._dispatch(spec))
-
-                def _dispatch(self, spec):
-                    self._reconcile_wheel()
-                    self._activate_bucket()
-                    yield self.timeout(0.0)
-
-                def _activate_bucket(self):
-                    stale = [entry for entry in self._ready if entry]
-                    return min(self._buckets)
-
-                def _reconcile_wheel(self):
-                    for q in self._buckets:
-                        self.requeue(q)
-        """}) == []
+        assert rule_names(findings) == ["hot-linear-scan",
+                                        "hot-linear-scan"]
+        assert all("'_timed'" in f.message for f in findings)
 
     def test_suppression_honoured(self, tmp_path):
         code = HOT_SCHEDULER.replace(

@@ -10,6 +10,7 @@ working as deprecated shims over the session.
 
 import importlib.util
 import pathlib
+import pickle
 
 import pytest
 
@@ -174,6 +175,19 @@ class TestCacheSemantics:
             assert threaded[name] is serial[name]
         info = session.cache_info()
         assert sorted(info["views_built"]) == sorted(VIEW_NAMES)
+
+    def test_analysed_run_pickles_and_rebuilds_equal_views(self, run_data):
+        # The cached session (and its lock) must not travel with the
+        # run: the copy rebuilds its views lazily, cell for cell equal.
+        views = AnalysisSession.of(run_data).all_views()
+        copy = pickle.loads(pickle.dumps(run_data))
+        rebuilt = AnalysisSession.of(copy).all_views()
+        assert AnalysisSession.of(copy) is not AnalysisSession.of(run_data)
+        for name, table in views.items():
+            assert rebuilt[name].column_names == table.column_names
+            for column in table.column_names:
+                assert rebuilt[name][column].tolist() == \
+                    table[column].tolist(), f"{name}.{column} differs"
 
 
 class TestLoadDispatch:

@@ -7,9 +7,17 @@ each lane is already sorted: the clock never rewinds and the sequence
 counter only grows.  These tests pin the contract that makes the lanes
 safe: the processing order is *exactly* the ``(time, priority, seq)``
 total order the heap alone used to produce.
+
+Besides a hand-written mixed workload, seeded scripted workloads drive
+the same two checks (shadow-heap order at every step, and identical
+traces from the inline and the monitored run loops) over the
+distributions that stress a lane merge: all-identical deadlines,
+clustered periods, exponential tails, and a mix of succeed/spawn/peek/
+zero-delay/far-future actions.
 """
 
 import heapq
+import random
 
 import pytest
 
@@ -112,6 +120,137 @@ def test_monitored_and_inline_runs_produce_identical_traces():
     env2.run()                        # monitored → step loop
 
     assert plain_trace == monitored_trace
+
+
+N_PROCS = 8
+N_STEPS = 12
+SEEDS = (11, 23, 47)
+DISTRIBUTIONS = ("identical", "clustered", "exponential", "mixed")
+
+#: A deadline far beyond any other in the scripts, so the timed lane
+#: holds a long tail while the rest of the traffic drains.
+FAR_FUTURE = 1.6e16
+
+
+def _draw(rng, dist):
+    """One scripted action for a scripted process: a delay or a tag."""
+    if dist == "identical":
+        return 0.25
+    if dist == "clustered":
+        return rng.choice((0.125, 0.25, 0.25, 0.25, 0.375))
+    if dist == "exponential":
+        delay = rng.expovariate(1.0)
+        return delay * 1000.0 if rng.random() < 0.1 else delay
+    if dist == "mixed":
+        roll = rng.random()
+        if roll < 0.15:
+            return "succeed"          # zero-delay fast lane
+        if roll < 0.25:
+            return "spawn"            # Initialize lane (priority -1)
+        if roll < 0.30:
+            return "peek"             # reads the heads without popping
+        if roll < 0.35:
+            return FAR_FUTURE
+        if roll < 0.45:
+            return 0.0                # zero-delay Timeout
+        return rng.choice((0.25, rng.expovariate(2.0)))
+    raise AssertionError(dist)
+
+
+def _make_script(seed, dist):
+    rng = random.Random(f"{dist}-{seed}")
+    return [[_draw(rng, dist) for _ in range(N_STEPS)]
+            for _ in range(N_PROCS)]
+
+
+def _replay(script, monitor=None):
+    """Run one scripted workload; return its (process, time) trace."""
+    env = Environment()
+    if monitor is not None:
+        monitor.attach(env)
+    trace = []
+
+    def proc(name, actions):
+        for action in actions:
+            if action == "succeed":
+                done = env.event()
+                done.succeed()
+                yield done
+            elif action == "spawn":
+                env.process(child(name))
+                yield env.timeout(0)
+            elif action == "peek":
+                env.peek()
+                yield env.timeout(0.25)
+            else:
+                yield env.timeout(action)
+            trace.append((name, env.now))
+
+    def child(parent):
+        yield env.timeout(0.25)
+        trace.append((parent, "child", env.now))
+
+    for i, actions in enumerate(script):
+        env.process(proc(i, actions))
+    env.run()
+    return trace
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scripted_traffic_matches_single_heap_order(dist, seed):
+    monitor = ShadowHeapMonitor()
+    _replay(_make_script(seed, dist), monitor)   # asserts per step
+    assert monitor.stepped, "no events processed"
+    times = [t for t, _, _ in monitor.stepped]
+    assert times == sorted(times)
+    assert set(monitor.stepped) == set(monitor.scheduled)
+
+
+@pytest.mark.parametrize("dist", DISTRIBUTIONS)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scripted_inline_and_monitored_traces_match(dist, seed):
+    # The unmonitored run() takes the inlined loop; a monitor forces
+    # the step loop.  Same script, same trace.
+    script = _make_script(seed, dist)
+    assert _replay(script) == _replay(script, RecordingMonitor())
+
+
+def test_exotic_priorities_fire_in_order():
+    env = Environment()
+    fired = []
+
+    def note(tag):
+        def callback(_event):
+            fired.append((tag, env.now))
+        return callback
+
+    for tag, delay, priority in [("p2", 0.25, 2), ("p1", 0.25, 1),
+                                 ("p0", 0.25, 0), ("pn", 0.25, -5),
+                                 ("far", 0.75, 3), ("now2", 0.0, 2),
+                                 ("now-3", 0.0, -3)]:
+        event = env.event()
+        event.callbacks.append(note(tag))
+        env._schedule(event, delay=delay, priority=priority)
+    env.run()
+    assert fired == [("now-3", 0.0), ("now2", 0.0), ("pn", 0.25),
+                     ("p0", 0.25), ("p1", 0.25), ("p2", 0.25),
+                     ("far", 0.75)]
+
+
+def test_negative_clock_fires_in_order():
+    env = Environment(initial_time=-3.0)
+    order = []
+
+    def proc(tag, delay):
+        yield env.timeout(delay)
+        order.append((tag, env.now))
+
+    env.process(proc("still-negative", 1.0))
+    env.process(proc("crosses-zero", 4.0))
+    env.run()
+    assert order == [("still-negative", -2.0), ("crosses-zero", 1.0)]
+    assert env.now == 1.0
 
 
 def test_initialize_preempts_same_time_zero_delay_events():
