@@ -19,10 +19,13 @@ Two tiers, mirroring how the engine is actually exercised:
   garbage collector paused in the timed region.
 
 * **run_many** — end-to-end repetition fan-out across the paper
-  workflows: serial vs. thread vs. process executors (asserting
-  byte-identical event streams per ``run_index``), plus a process-pool
-  speedup curve over worker counts.  ``meta.cpus`` records the
-  machine's core count — process-pool speedup is bounded by it.
+  workflows: serial repetitions vs. the process pool at each width of
+  the worker curve (asserting byte-identical event streams per
+  ``run_index``).  Each pass runs serial and then every pool width, so
+  host drift spreads over all cells; each cell reports the median of
+  the passes.  ``run_many`` runs ``workers <= 1`` serially, so the
+  curve starts at 2.  ``meta.cpus`` records the machine's core count —
+  process-pool speedup is bounded by it.
 
 Run::
 
@@ -38,6 +41,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -167,9 +171,8 @@ def git_revision() -> str:
 # end-to-end run_many scaling
 # ---------------------------------------------------------------------------
 
-def run_scaling(scale: float, n_runs: int, workers: int,
-                workflows: list[str],
-                worker_curve: list[int] | None = None) -> dict:
+def run_scaling(scale: float, n_runs: int, workflows: list[str],
+                worker_curve: list[int], passes: int) -> dict:
     from functools import partial
 
     from repro.workflows import (
@@ -185,48 +188,37 @@ def run_scaling(scale: float, n_runs: int, workers: int,
         "XGBOOST": XGBoostWorkflow,
     }
 
+    def timed(factory, workers):
+        gc.collect()
+        start = time.perf_counter()
+        runs = run_many(factory, n_runs=n_runs, seed=1, workers=workers)
+        return time.perf_counter() - start, [r.data.events for r in runs]
+
     results: dict[str, dict] = {}
     for name in workflows:
         factory = partial(factories[name], scale=scale)
-        timings: dict[str, float] = {}
-        streams: dict[str, list] = {}
-        for executor in ("serial", "thread", "process"):
-            gc.collect()
-            start = time.perf_counter()
-            runs = run_many(factory, n_runs=n_runs, seed=1,
-                            workers=workers, executor=executor)
-            timings[executor] = time.perf_counter() - start
-            streams[executor] = [r.data.events for r in runs]
-        if not (streams["serial"] == streams["thread"]
-                == streams["process"]):
-            raise AssertionError(
-                f"{name}: event streams differ across executors")
-        row = {
-            "n_runs": n_runs,
-            "workers": workers,
-            "serial_s": round(timings["serial"], 3),
-            "thread_s": round(timings["thread"], 3),
-            "process_s": round(timings["process"], 3),
-            "speedup_thread": round(
-                timings["serial"] / timings["thread"], 2),
-            "speedup_process": round(
-                timings["serial"] / timings["process"], 2),
-        }
-        if worker_curve:
-            curve = []
+        serial_s: list[float] = []
+        process_s: dict[int, list[float]] = {w: [] for w in worker_curve}
+        for _ in range(passes):
+            elapsed, serial_streams = timed(factory, None)
+            serial_s.append(elapsed)
             for n_workers in worker_curve:
-                gc.collect()
-                start = time.perf_counter()
-                run_many(factory, n_runs=n_runs, seed=1,
-                         workers=n_workers, executor="process")
-                process_s = time.perf_counter() - start
-                curve.append({
-                    "workers": n_workers,
-                    "process_s": round(process_s, 3),
-                    "speedup": round(timings["serial"] / process_s, 2),
-                })
-            row["worker_curve"] = curve
-        results[name] = row
+                elapsed, streams = timed(factory, n_workers)
+                process_s[n_workers].append(elapsed)
+                if streams != serial_streams:
+                    raise AssertionError(
+                        f"{name}: event streams differ between serial "
+                        f"and process workers={n_workers}")
+        serial = statistics.median(serial_s)
+        results[name] = {
+            "n_runs": n_runs,
+            "serial_s": round(serial, 3),
+            "worker_curve": [{
+                "workers": n_workers,
+                "process_s": round(statistics.median(times), 3),
+                "speedup": round(serial / statistics.median(times), 2),
+            } for n_workers, times in process_s.items()],
+        }
     return results
 
 
@@ -245,37 +237,32 @@ def render(document: dict) -> str:
                      f"{row['events_per_s']:>12,}")
     for name, row in document.get("run_many", {}).items():
         lines.append(
-            f"\nrun_many {name}: n_runs={row['n_runs']} "
-            f"workers={row['workers']}\n"
-            f"  serial  {row['serial_s']:>7.3f} s\n"
-            f"  thread  {row['thread_s']:>7.3f} s "
-            f"({row['speedup_thread']:.2f}x)\n"
-            f"  process {row['process_s']:>7.3f} s "
-            f"({row['speedup_process']:.2f}x)\n"
-            f"  event streams identical across executors: yes")
-        for point in row.get("worker_curve", []):
+            f"\nrun_many {name}: n_runs={row['n_runs']}, median of "
+            f"{document['meta']['repeats']} alternating passes\n"
+            f"  serial:            {row['serial_s']:.3f} s")
+        for point in row["worker_curve"]:
             lines.append(f"  process workers={point['workers']}: "
                          f"{point['process_s']:.3f} s "
                          f"({point['speedup']:.2f}x)")
+        lines.append("  event streams identical to serial: yes")
     return "\n".join(lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9,
-                        help="passes per micro cell (default 9)")
+                        help="passes per micro and run_many cell "
+                             "(default 9)")
     parser.add_argument("--micro-scale", type=int, default=2000,
                         help="steps per process in micro workloads")
     parser.add_argument("--scale", type=float, default=0.05,
                         help="workflow scale for the run_many tier")
     parser.add_argument("--runs", type=int, default=8,
                         help="repetitions in the run_many tier (default 8)")
-    parser.add_argument("--workers", type=int, default=4,
-                        help="pool width in the run_many tier (default 4)")
-    parser.add_argument("--worker-curve", default="1,2,4",
-                        help="comma-separated process-pool widths for "
-                             "the speedup curve (default 1,2,4; '' to "
-                             "skip)")
+    parser.add_argument("--worker-curve", default="2,4",
+                        help="comma-separated process-pool widths, each "
+                             ">= 2, compared against serial (default "
+                             "2,4)")
     parser.add_argument("--workflows", default="ImageProcessing",
                         help="comma-separated subset of "
                              "ImageProcessing,ResNet152,XGBOOST "
@@ -301,8 +288,9 @@ def main(argv=None) -> int:
             "git_revision": git_revision(),
             "estimator": "micro: max events/s over `repeats` passes "
                          "that each run every cell once, gc off; "
-                         "run_many: one wall-clock pass per executor "
-                         "and pool width",
+                         "run_many: median wall time over `repeats` "
+                         "passes that each run serial, then every "
+                         "pool width",
             "repeats": repeats,
         },
         "micro": run_micro(repeats, micro_scale),
@@ -312,12 +300,14 @@ def main(argv=None) -> int:
                  if args.workflows == "all"
                  else [w.strip() for w in args.workflows.split(",")])
         n_runs = 2 if args.smoke else args.runs
-        workers = 2 if args.smoke else args.workers
         scale = min(args.scale, 0.03) if args.smoke else args.scale
-        curve = [] if args.smoke else [
+        curve = [2] if args.smoke else [
             int(w) for w in args.worker_curve.split(",") if w.strip()]
-        document["run_many"] = run_scaling(scale, n_runs, workers, names,
-                                           worker_curve=curve)
+        if not curve or min(curve) < 2:
+            parser.error("--worker-curve needs widths >= 2 (run_many "
+                         "runs workers <= 1 serially)")
+        document["run_many"] = run_scaling(scale, n_runs, names, curve,
+                                           repeats)
 
     text = render(document)
     print(text)

@@ -5,7 +5,7 @@ Two jobs in one script:
 
 * **Timing** — how long one full ``perfrecup lint`` pass over
   ``src/repro`` takes, per rule family and for the whole default rule
-  set, at ``--jobs 1`` versus a thread-pool read.  The lint gate runs
+  set.  The lint gate runs
   inside tier-1 pytest, so its wall time is a direct tax on every CI
   round: this benchmark is the budget that keeps the whole-program
   passes (call graph + dataflow) from quietly turning the gate into
@@ -44,7 +44,8 @@ sys.path.insert(
 from repro.analysis import LintEngine, rules_for  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SRC_ROOT = os.path.normpath(os.path.join(HERE, os.pardir, "src", "repro"))
+REPO_ROOT = os.path.normpath(os.path.join(HERE, os.pardir))
+SRC_ROOT = os.path.join(REPO_ROOT, "src", "repro")
 OUT_TEXT = os.path.join(HERE, "out", "lint.txt")
 OUT_REPORT = os.path.join(HERE, "out", "lint_report.json")
 
@@ -58,43 +59,45 @@ FAMILIES = ("determinism", "provenance", "concurrency", "hotpath",
 SMOKE_BUDGET_SECONDS = 20.0
 
 
-def timed_run(selectors, jobs: int):
+def timed_run(selectors):
     engine = LintEngine(rules=rules_for(selectors), root=SRC_ROOT)
     start = time.perf_counter()
-    report = engine.run([SRC_ROOT], jobs=jobs)
+    report = engine.run([SRC_ROOT])
     elapsed = time.perf_counter() - start
     return report, elapsed
 
 
-def collect(jobs: int) -> dict:
+def collect() -> dict:
     document = {
         "meta": {
             "python": platform.python_version(),
             "cpus": os.cpu_count(),
-            "target": SRC_ROOT,
-            "jobs": jobs,
+            "target": os.path.relpath(SRC_ROOT, REPO_ROOT),
         },
         "families": {},
     }
     for family in FAMILIES:
-        report, elapsed = timed_run([family], jobs=1)
+        report, elapsed = timed_run([family])
         document["families"][family] = {
             "seconds": round(elapsed, 3),
             "rules": len(report.rules_run),
             "active": len(report.active),
             "suppressed": len(report.suppressed),
         }
-    full_serial, serial_s = timed_run(None, jobs=1)
-    _full_jobs, jobs_s = timed_run(None, jobs=jobs)
+    full, seconds = timed_run(None)
     document["full"] = {
-        "serial_seconds": round(serial_s, 3),
-        "jobs_seconds": round(jobs_s, 3),
-        "files": full_serial.files_checked,
-        "active": len(full_serial.active),
-        "suppressed": len(full_serial.suppressed),
-        "exit_code": full_serial.exit_code,
+        "seconds": round(seconds, 3),
+        "files": full.files_checked,
+        "active": len(full.active),
+        "suppressed": len(full.suppressed),
+        "exit_code": full.exit_code,
     }
-    document["report"] = json.loads(full_serial.render_json())
+    report = json.loads(full.render_json())
+    # Repo-relative paths keep the archived artifact independent of
+    # the checkout location.
+    for finding in report["findings"]:
+        finding["path"] = os.path.relpath(finding["path"], REPO_ROOT)
+    document["report"] = report
     return document
 
 
@@ -105,9 +108,7 @@ def render(document: dict) -> str:
         f"  target: {document['meta']['target']}",
         f"  files: {full['files']}  active: {full['active']}  "
         f"suppressed: {full['suppressed']}",
-        f"  full pass: {full['serial_seconds']:.3f}s serial, "
-        f"{full['jobs_seconds']:.3f}s with --jobs "
-        f"{document['meta']['jobs']}",
+        f"  full pass: {full['seconds']:.3f}s",
         "  per family:",
     ]
     for family, row in document["families"].items():
@@ -120,9 +121,6 @@ def render(document: dict) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int,
-                        default=max(2, (os.cpu_count() or 2) // 2),
-                        help="thread count for the threaded-read pass")
     parser.add_argument("--budget", type=float,
                         default=SMOKE_BUDGET_SECONDS,
                         help="--smoke wall-time budget in seconds")
@@ -134,7 +132,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.smoke:
-        report, elapsed = timed_run(None, jobs=args.jobs)
+        report, elapsed = timed_run(None)
         print(f"lint benchmark (smoke): {report.files_checked} files, "
               f"{len(report.active)} active finding(s) in {elapsed:.3f}s "
               f"(budget {args.budget:.1f}s)")
@@ -148,7 +146,7 @@ def main(argv=None) -> int:
         print("within budget")
         return 0
 
-    document = collect(args.jobs)
+    document = collect()
     text = render(document)
     print(text)
 

@@ -13,11 +13,8 @@ Scaling knobs (environment):
   10/10/50 repetitions).  Expect tens of minutes.
 * ``REPRO_SCALE=x`` — dataset/task scale factor (default 0.08).
 * ``REPRO_RUNS=n``  — repetitions per workflow (default 3).
-* ``REPRO_WORKERS=n`` — fan repetitions out over ``n`` workers
-  (default: serial).
-* ``REPRO_EXECUTOR=serial|thread|process|auto`` — repetition backend
-  when ``REPRO_WORKERS`` is set (default auto; only the process pool
-  reduces wall time for this pure-Python workload).
+* ``REPRO_WORKERS=n`` — fan repetitions out over a process pool of
+  ``n`` workers (default: serial).
 """
 
 import functools
@@ -51,7 +48,6 @@ class BenchEnv:
         self.seed = int(os.environ.get("REPRO_SEED", "1"))
         workers = os.environ.get("REPRO_WORKERS")
         self.workers = int(workers) if workers else None
-        self.executor = os.environ.get("REPRO_EXECUTOR", "auto")
         self._cache = {}
 
     def runs_of(self, workflow_name: str, n_runs: int | None = None):
@@ -66,7 +62,7 @@ class BenchEnv:
             self._cache[key] = run_many(
                 functools.partial(factory_cls, scale=self.scale),
                 n_runs=n_runs, seed=self.seed,
-                workers=self.workers, executor=self.executor,
+                workers=self.workers,
             )
         return self._cache[key]
 

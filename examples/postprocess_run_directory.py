@@ -40,7 +40,7 @@ def main() -> None:
 
     # Reload purely from disk (sessions load the run directories and
     # cache every view/derived analysis they build).
-    sessions = sessions_for(run_dirs, workers=2)
+    sessions = sessions_for(run_dirs)
 
     rows = []
     for i, session in enumerate(sessions):

@@ -34,7 +34,7 @@ def main() -> None:
 
     # One call loads sessions, builds breakdowns and task views (cached
     # per run), and aggregates the cross-run statistics.
-    report = variability_report([r.data for r in results], workers=2)
+    report = variability_report([r.data for r in results])
     stats = report["phases"]
 
     print("\nNormalized phase durations (mean fraction of wall time, "

@@ -33,7 +33,6 @@ import hashlib
 import json
 import os
 import re
-import threading
 import tokenize
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -62,13 +61,6 @@ __all__ = [
 
 _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([^\]]*)\]")
 
-# CPython 3.11's C-AST-to-Python conversion keeps its recursion-depth
-# bookkeeping in interpreter-wide module state, so concurrent
-# ``ast.parse`` calls race and raise ``SystemError: AST constructor
-# recursion depth mismatch``.  ``--jobs`` therefore only overlaps file
-# I/O; the parse itself is serialized through this lock.
-_AST_PARSE_LOCK = threading.Lock()
-
 
 @dataclass
 class ModuleSource:
@@ -84,8 +76,7 @@ class ModuleSource:
         if source is None:
             with tokenize.open(path) as fh:
                 source = fh.read()
-        with _AST_PARSE_LOCK:
-            tree = ast.parse(source, filename=path)
+        tree = ast.parse(source, filename=path)
         return cls(path=path, source=source, tree=tree,
                    lines=source.splitlines())
 
@@ -310,26 +301,14 @@ class LintEngine:
             finding.status = STATUS_ACTIVE
 
     # ------------------------------------------------------------------
-    def parse_all(self, paths: Iterable[str],
-                  jobs: int = 1) -> list[ModuleSource]:
-        """Parse every discovered file, optionally on a thread pool.
+    def parse_all(self, paths: Iterable[str]) -> list[ModuleSource]:
+        """Parse every discovered file, in sorted path order, so the
+        finding order (and therefore the report) stays deterministic."""
+        return [ModuleSource.parse(path) for path in self.discover(paths)]
 
-        ``jobs > 1`` overlaps the file reads (the ``ast.parse`` call
-        itself is serialized behind ``_AST_PARSE_LOCK`` — see its
-        comment) while ``pool.map`` preserves the sorted input order,
-        so the finding order (and therefore the report) stays
-        deterministic.
-        """
-        files = self.discover(paths)
-        if jobs > 1 and len(files) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(ModuleSource.parse, files))
-        return [ModuleSource.parse(path) for path in files]
-
-    def run(self, paths: Iterable[str], jobs: int = 1) -> LintReport:
+    def run(self, paths: Iterable[str]) -> LintReport:
         report = LintReport(rules_run=[r.name for r in self.rules])
-        modules = self.parse_all(paths, jobs=jobs)
+        modules = self.parse_all(paths)
         for module in modules:
             report.extend(self.check_module(module))
             report.files_checked += 1

@@ -4,14 +4,14 @@ Usage::
 
     perfrecup run imageprocessing --runs 3 --scale 0.1 --out ./results
     perfrecup analyze ./results/imageprocessing/run0000
-    perfrecup compare ./results/xgboost --workers 4
+    perfrecup compare ./results/xgboost
     perfrecup provenance ./results/xgboost/run0000 --key <task-key>
     perfrecup list-workflows
 
-Every analysis subcommand (``analyze``/``compare``/``figures``/``zoom``/
-``report``) shares the same option set: ``--out`` (output file or
-directory), ``--format text|json``, and ``--workers N`` (thread fan-out
-for view building and multi-run loading).
+Every reporting subcommand shares one output option pair: ``--out``
+(output file or directory) and ``--format text|json``.  The only
+fan-out setting is ``perfrecup run --workers N``, which runs
+repetitions on a process pool.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def _workflow_factory(name: str, scale: float):
             f"unknown workflow {name!r}; choose from {sorted(WORKFLOWS)}"
         )
     # partial, not a lambda: the factory must pickle for the process
-    # executor of ``run_many``.
+    # pool of ``run_many``.
     return functools.partial(cls, scale=scale)
 
 
@@ -84,21 +84,11 @@ def _deliver(args: argparse.Namespace, text: str, document) -> int:
     return 0
 
 
-def _session_of_dir(args: argparse.Namespace) -> AnalysisSession:
-    """Load one run directory; ``--workers`` prefetches views."""
-    session = AnalysisSession.of(args.run_dir)
-    workers = getattr(args, "workers", None)
-    if workers is not None and workers > 1:
-        session.prefetch(workers=workers)
-    return session
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     from .workflows import run_many
     factory = _workflow_factory(args.workflow, args.scale)
     results = run_many(factory, n_runs=args.runs, seed=args.seed,
-                       persist_dir=args.out, workers=args.workers,
-                       executor=args.executor)
+                       persist_dir=args.out, workers=args.workers)
     rows = []
     for result in results:
         breakdown = phase_breakdown(result.data)
@@ -118,7 +108,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from .core import format_gap_report, metadata_gaps
 
-    session = _session_of_dir(args)
+    session = AnalysisSession.of(args.run_dir)
     breakdown = phase_breakdown(session)
     categories = longest_categories(session.task_view(),
                                     top=args.top).to_records()
@@ -179,7 +169,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(run_dirs) < 2:
         raise SystemExit(
             f"need at least two run directories under {args.runs_dir}")
-    report = variability_report(run_dirs, workers=args.workers)
+    report = variability_report(run_dirs)
     stats = report["phases"]
     by_prefix = report["by_prefix"].head(args.top).to_records()
     views = [session.task_view() for session in report["sessions"]]
@@ -212,7 +202,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     """Render the paper-style SVG figures for one persisted run."""
-    session = _session_of_dir(args)
+    session = AnalysisSession.of(args.run_dir)
     out = args.out or os.path.join(args.run_dir, "figures")
     written = [
         write_svg(fig4_svg(io_timeline(session.io_view())),
@@ -237,7 +227,7 @@ def cmd_zoom(args: argparse.Namespace) -> int:
     """Summarize everything inside one time window of a run."""
     from .core import zoom
 
-    session = _session_of_dir(args)
+    session = AnalysisSession.of(args.run_dir)
     end = args.end if args.end is not None else session.wall_time
     window = zoom(session, args.start, end)
     lines = [format_records([{
@@ -255,7 +245,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Write a standalone HTML report for one persisted run."""
     from .core import write_html_report
 
-    session = _session_of_dir(args)
+    session = AnalysisSession.of(args.run_dir)
     out = args.out or os.path.join(args.run_dir, "report.html")
     path = write_html_report(session, out,
                              title=f"PERFRECUP report: {args.run_dir}")
@@ -303,7 +293,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
     engine = LintEngine(rules=rules, baseline=baseline, root=root)
     try:
-        report = engine.run(paths, jobs=args.jobs)
+        report = engine.run(paths)
     except (FileNotFoundError, SyntaxError) as exc:
         print(f"lint failed: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -459,8 +449,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     catalog = _open_catalog_from_args(args)
     entries = []
     for runs_dir in args.runs_dirs:
-        entries += catalog.ingest(runs_dir, date=args.date,
-                                  workers=args.workers)
+        entries += catalog.ingest(runs_dir, date=args.date)
     rows = [{
         "run_id": e.run_id, "workflow": e.workflow, "date": e.date,
         "wall_s": round(e.wall_time, 2), "n_events": e.n_events,
@@ -530,7 +519,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     catalog = _open_catalog_from_args(args)
     for runs_dir in args.ingest or ():
-        catalog.ingest(runs_dir, workers=args.workers)
+        catalog.ingest(runs_dir)
     server = serve(catalog, host=args.host, port=args.port,
                    verbose=args.verbose)
     n_runs = len(catalog.indexes.run_shards)
@@ -581,7 +570,7 @@ def cmd_experiments(args: argparse.Namespace) -> int:
 
 def cmd_dataplane(args: argparse.Namespace) -> int:
     """Per-backend proxy traffic and saved-transfer-time attribution."""
-    session = _session_of_dir(args)
+    session = AnalysisSession.of(args.run_dir)
     report = session.data_plane_report()
     if not report["enabled"]:
         text = ("no proxy events in this run "
@@ -615,16 +604,6 @@ def cmd_dataplane(args: argparse.Namespace) -> int:
     return _deliver(args, text, {"run_dir": args.run_dir, **report})
 
 
-#: Subcommands sharing the full analysis option set (``--out`` /
-#: ``--format`` / ``--workers``), asserted consistent by the CLI tests.
-ANALYSIS_COMMANDS = ("analyze", "compare", "figures", "zoom", "report",
-                     "ingest", "query", "serve", "dataplane")
-
-#: Subcommands sharing the output pair (``--out`` / ``--format``) but
-#: not ``--workers`` — single-run drivers with nothing to fan out.
-OUTPUT_COMMANDS = ("faults", "metrics", "trace", "sanitize")
-
-
 def _output_parent(format_default: str = "text") \
         -> argparse.ArgumentParser:
     """The output option pair shared by every reporting subcommand.
@@ -648,15 +627,6 @@ def _output_parent(format_default: str = "text") \
     return parent
 
 
-def _analysis_parent() -> argparse.ArgumentParser:
-    """The option set every analysis subcommand shares."""
-    parent = _output_parent()
-    parent.add_argument(
-        "--workers", type=int, default=None,
-        help="thread fan-out for view building and multi-run loading")
-    return parent
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="perfrecup",
@@ -664,7 +634,6 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulated Dask-like workflows (SC24 reproduction)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = _analysis_parent()
     output = _output_parent()
 
     p_run = sub.add_parser("run", help="run an instrumented workflow")
@@ -675,18 +644,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--out", default=None,
                        help="persist run directories under this path")
     p_run.add_argument("--workers", type=int, default=None,
-                       help="run repetitions concurrently on this many "
-                            "workers")
-    p_run.add_argument("--executor",
-                       choices=("serial", "thread", "process", "auto"),
-                       default="auto",
-                       help="repetition backend for --workers: process "
-                            "pool (real parallelism), thread pool, "
-                            "serial, or auto (default: process when "
-                            "viable)")
+                       help="run repetitions on a process pool of this "
+                            "many workers")
     p_run.set_defaults(func=cmd_run)
 
-    p_an = sub.add_parser("analyze", parents=[common],
+    p_an = sub.add_parser("analyze", parents=[output],
                           help="analyze a persisted run")
     p_an.add_argument("run_dir")
     p_an.add_argument("--top", type=int, default=5)
@@ -700,33 +662,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_prov.add_argument("--max-items", type=int, default=8)
     p_prov.set_defaults(func=cmd_provenance)
 
-    p_cmp = sub.add_parser("compare", parents=[common],
+    p_cmp = sub.add_parser("compare", parents=[output],
                            help="variability report across persisted runs")
     p_cmp.add_argument("runs_dir",
                        help="directory containing run0000, run0001, ...")
     p_cmp.add_argument("--top", type=int, default=8)
     p_cmp.set_defaults(func=cmd_compare)
 
-    p_fig = sub.add_parser("figures", parents=[common],
+    p_fig = sub.add_parser("figures", parents=[output],
                            help="render SVG figures for a persisted run")
     p_fig.add_argument("run_dir")
     p_fig.add_argument("--bucket", type=float, default=100.0)
     p_fig.set_defaults(func=cmd_figures)
 
-    p_zoom = sub.add_parser("zoom", parents=[common],
+    p_zoom = sub.add_parser("zoom", parents=[output],
                             help="stats for one time window of a run")
     p_zoom.add_argument("run_dir")
     p_zoom.add_argument("--start", type=float, default=0.0)
     p_zoom.add_argument("--end", type=float, default=None)
     p_zoom.set_defaults(func=cmd_zoom)
 
-    p_rep = sub.add_parser("report", parents=[common],
+    p_rep = sub.add_parser("report", parents=[output],
                            help="single-file HTML report for a run")
     p_rep.add_argument("run_dir")
     p_rep.set_defaults(func=cmd_report)
 
     p_dp = sub.add_parser(
-        "dataplane", parents=[common],
+        "dataplane", parents=[output],
         help="proxy (pass-by-reference) traffic report for a run")
     p_dp.add_argument("run_dir")
     p_dp.add_argument("--keys", type=int, default=0,
@@ -754,9 +716,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--prune-baseline", action="store_true",
                         help="drop baseline entries that no longer match "
                              "any finding, rewrite the file, and exit 0")
-    p_lint.add_argument("--jobs", type=int, default=1,
-                        help="read source files with N threads "
-                             "(findings stay deterministically ordered)")
     p_lint.add_argument("--verbose", action="store_true",
                         help="also print suppressed/baselined findings")
     p_lint.set_defaults(func=cmd_lint)
@@ -809,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.set_defaults(func=cmd_metrics)
 
     p_ing = sub.add_parser(
-        "ingest", parents=[common],
+        "ingest", parents=[output],
         help="register new runs into a provenance data lake catalog")
     p_ing.add_argument("catalog_root",
                        help="catalog root directory (created on first "
@@ -823,7 +782,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ing.set_defaults(func=cmd_ingest)
 
     p_query = sub.add_parser(
-        "query", parents=[common],
+        "query", parents=[output],
         help="query a catalog (in-process) or a serve daemon (HTTP)")
     p_query.add_argument("target",
                          help="catalog root directory, or daemon base "
@@ -835,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.set_defaults(func=cmd_query)
 
     p_srv = sub.add_parser(
-        "serve", parents=[common],
+        "serve", parents=[output],
         help="long-lived JSON-over-HTTP daemon over one catalog")
     p_srv.add_argument("catalog_root", help="catalog root directory")
     p_srv.add_argument("--host", default="127.0.0.1")

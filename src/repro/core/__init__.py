@@ -15,8 +15,7 @@ checks).
 
 The documented entry point is :class:`AnalysisSession` — a memoized
 facade that caches every view and derived analysis per run, with
-:func:`sessions_for` / :func:`map_sessions` fanning multi-run
-workloads out over ``concurrent.futures``::
+:func:`sessions_for` turning many runs into their sessions::
 
     from repro.core import AnalysisSession
     session = AnalysisSession.of(result.data)   # or a run-dir path
@@ -47,7 +46,7 @@ from .gaps import format_gap_report, metadata_gaps
 from .hotspots import heatmap_similarity, io_hotspots
 from .html_report import html_report, write_html_report
 from .ingest import RunData
-from .session import AnalysisSession, map_sessions, sessions_for
+from .session import AnalysisSession, sessions_for
 from .parallel_coords import (
     RECOMMENDED_CHUNK_BYTES,
     longest_categories,
@@ -101,7 +100,6 @@ __all__ = [
     "IDENTIFIER_REGISTRY",
     "VIEW_NAMES",
     "WindowSummary",
-    "map_sessions",
     "sessions_for",
     "variability_report",
     "category_across_runs",

@@ -15,24 +15,20 @@ once per run instead of once per analysis.  Caching is safe because a
 run, once loaded, never changes; if you must mutate, load a fresh
 ``RunData``.
 
-Multi-run workloads fan out over :mod:`concurrent.futures`:
-:func:`sessions_for` loads many sources in parallel and
-:func:`map_sessions` applies an analysis to each session concurrently,
-always returning results in input order so downstream statistics stay
-deterministic.
+:func:`sessions_for` turns many sources into their sessions, in input
+order, so downstream statistics stay deterministic.
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable
 
 from .ingest import RunData
 from .table import Table
 from .views import VIEW_BUILDERS, VIEW_NAMES
 
-__all__ = ["AnalysisSession", "sessions_for", "map_sessions"]
+__all__ = ["AnalysisSession", "sessions_for"]
 
 
 class AnalysisSession:
@@ -55,7 +51,8 @@ class AnalysisSession:
         self._views: dict[str, Table] = {}
         self._derived: dict[str, object] = {}
         # One reentrant lock guards both caches: derived analyses build
-        # views, and prefetch may run from several threads.
+        # views, and the lake daemon serves one session from several
+        # request threads.
         self._lock = threading.RLock()
 
     # -- construction ------------------------------------------------------
@@ -168,19 +165,9 @@ class AnalysisSession:
         from .data_plane import data_plane_report
         return data_plane_report(self)
 
-    def all_views(self, workers: Optional[int] = None) -> dict[str, Table]:
-        """All nine views as ``{name: Table}`` (optionally prefetched
-        by a thread pool — useful right after loading a large run)."""
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                tables = list(pool.map(self.view, VIEW_NAMES))
-            return dict(zip(VIEW_NAMES, tables))
+    def all_views(self) -> dict[str, Table]:
+        """All nine views as ``{name: Table}`` (each built once)."""
         return {name: self.view(name) for name in VIEW_NAMES}
-
-    def prefetch(self, workers: Optional[int] = None) -> "AnalysisSession":
-        """Build (and cache) every view; returns ``self`` for chaining."""
-        self.all_views(workers=workers)
-        return self
 
     # -- derived analyses --------------------------------------------------
     def cached(self, key: str, build: Callable[[], object]):
@@ -232,36 +219,13 @@ class AnalysisSession:
 
 
 # ---------------------------------------------------------------------------
-# multi-run fan-out
+# multi-run
 # ---------------------------------------------------------------------------
 
-def sessions_for(sources: Iterable,
-                 workers: Optional[int] = None) -> list["AnalysisSession"]:
-    """Sessions for many sources, loaded concurrently when asked.
+def sessions_for(sources: Iterable) -> list["AnalysisSession"]:
+    """Sessions for many sources, in input order.
 
     ``sources`` elements may be anything :meth:`AnalysisSession.of`
-    accepts (paths, ``RunData``, ``RunResult``-likes, sessions).  With
-    ``workers > 1`` the loads run on a thread pool; results always come
-    back in input order.
+    accepts (paths, ``RunData``, ``RunResult``-likes, sessions).
     """
-    sources = list(sources)
-    if workers is not None and workers > 1 and len(sources) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(AnalysisSession.of, sources))
     return [AnalysisSession.of(source) for source in sources]
-
-
-def map_sessions(fn: Callable[["AnalysisSession"], object],
-                 sources: Sequence,
-                 workers: Optional[int] = None) -> list:
-    """Apply ``fn`` to the session of every source, in input order.
-
-    The fan-out primitive behind ``perfrecup compare --workers`` and
-    the variability workloads: loads (if needed) and analyses each run
-    on a thread pool, preserving input order in the result list.
-    """
-    sessions = sessions_for(sources, workers=workers)
-    if workers is not None and workers > 1 and len(sessions) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, sessions))
-    return [fn(session) for session in sessions]

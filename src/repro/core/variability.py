@@ -12,12 +12,12 @@ point at the task categories behind the spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .phases import PhaseBreakdown
-from .session import AnalysisSession, map_sessions, sessions_for
+from .session import sessions_for
 from .table import Table
 
 __all__ = ["MetricStats", "summarize_metric", "phase_variability",
@@ -121,22 +121,19 @@ def prefix_duration_variability(task_views: Iterable[Table]) -> Table:
     return table.sort_by("cv", descending=True)
 
 
-def variability_report(sources: Sequence,
-                       workers: Optional[int] = None) -> dict:
+def variability_report(sources: Sequence) -> dict:
     """One-call cross-run variability study over many runs.
 
     ``sources`` may be run-directory paths, ``RunData``/``RunResult``
-    objects, or sessions; with ``workers > 1`` the per-run loading and
-    view building fan out over a thread pool (results stay in input
-    order, so the statistics are deterministic).  Returns::
+    objects, or sessions; results follow input order, so the
+    statistics are deterministic.  Returns::
 
         {"sessions":   [AnalysisSession, ...],
          "phases":     phase_variability(...) output,
          "by_prefix":  prefix_duration_variability(...) Table}
     """
-    sessions = sessions_for(sources, workers=workers)
-    breakdowns = map_sessions(AnalysisSession.phase_breakdown, sessions,
-                              workers=workers)
+    sessions = sessions_for(sources)
+    breakdowns = [session.phase_breakdown() for session in sessions]
     views = [session.task_view() for session in sessions]
     return {
         "sessions": sessions,

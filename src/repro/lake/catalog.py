@@ -31,7 +31,6 @@ import hashlib
 import json
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
@@ -356,16 +355,15 @@ class Catalog:
         return (f"{workflow}-{date}-s{seed}-r{run_index:04d}"
                 f"-{fingerprint}")
 
-    def ingest(self, runs_root, *, date: Optional[str] = None,
-               workers: Optional[int] = None) -> list[RunEntry]:
+    def ingest(self, runs_root, *,
+               date: Optional[str] = None) -> list[RunEntry]:
         """Register every new run directory under ``runs_root``.
 
         A run directory is any directory containing ``provenance.json``
         (the layout ``InstrumentedRun.persist`` writes).  Directories
         already in the source map are skipped without being opened —
-        the incremental half of the ingest contract.  With
-        ``workers > 1`` the per-run parsing fans out over threads;
-        manifest appends stay ordered by path for determinism.
+        the incremental half of the ingest contract.  Manifest appends
+        follow path order for determinism.
         """
         runs_root = os.path.abspath(os.fspath(runs_root))
         candidates: list[str] = []
@@ -381,21 +379,8 @@ class Catalog:
         with self._lock:
             new_dirs = [d for d in candidates
                         if d not in self.indexes.sources]
-
-        if workers is not None and workers > 1 and len(new_dirs) > 1:
-            # Parse (the expensive half) concurrently; register from
-            # the already-loaded RunData in deterministic path order.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                loaded = list(pool.map(RunData.load, new_dirs))
-        else:
-            loaded = [RunData.load(d) for d in new_dirs]
-
-        entries = []
-        for run_dir, data in zip(new_dirs, loaded):
-            # Hand the parsed data through a RunResult-shaped shim so
-            # the entry still records the directory as its source.
-            entries.append(self._register_unflushed(
-                _LoadedRun(data, run_dir), date=date))
+        entries = [self._register_unflushed(run_dir, date=date)
+                   for run_dir in new_dirs]
         if entries:
             self.flush()
         return entries
@@ -683,11 +668,3 @@ class Catalog:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Catalog {self.root} "
                 f"runs={len(self.indexes.run_shards)}>")
-
-
-class _LoadedRun:
-    """RunResult-shaped shim: already-parsed data plus its directory."""
-
-    def __init__(self, data: RunData, run_dir: str):
-        self.data = data
-        self.run_dir = run_dir

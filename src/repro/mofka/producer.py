@@ -70,14 +70,8 @@ class Producer:
     # -- background flushing ----------------------------------------------
     def _flush_loop(self):
         while not self._closed or self._buffer:
-            if not self._buffer:
+            if len(self._buffer) < self.batch_size:
                 # Wait for either a kick or the linger timer.
-                get = self._kick.get()
-                timer = self.env.timeout(self.linger)
-                yield get | timer
-                if not get.triggered:
-                    self._kick.cancel(get)
-            elif len(self._buffer) < self.batch_size:
                 get = self._kick.get()
                 timer = self.env.timeout(self.linger)
                 yield get | timer

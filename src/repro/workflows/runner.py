@@ -30,11 +30,7 @@ from ..platform import Cluster, ClusterSpec
 from ..sim import Environment, RandomStreams
 from .base import Workflow
 
-__all__ = ["run_workflow", "run_many", "run_many_iter",
-           "RunResult", "EXECUTORS"]
-
-#: Valid ``run_many(executor=)`` values.
-EXECUTORS = ("serial", "thread", "process", "auto")
+__all__ = ["run_workflow", "run_many", "run_many_iter", "RunResult"]
 
 
 @dataclass
@@ -145,8 +141,8 @@ def _pool_init(payload: bytes) -> None:
 
     Takes the pickled ``(factory, seed, kwargs)`` tuple rather than the
     objects themselves so a pickling problem surfaces in the parent
-    (where it can fall back to threads) instead of as an opaque pool
-    crash.
+    (where it can fall back to a serial run) instead of as an opaque
+    pool crash.
     """
     global _POOL_STATE
     _POOL_STATE = pickle.loads(payload)
@@ -186,133 +182,112 @@ def _adaptive_chunk_count(n_runs: int, workers: int) -> int:
     rebalance; with few runs, fall back to one chunk per repetition so
     every core gets work immediately.
     """
-    if n_runs <= workers * 4:
-        return min(n_runs, workers * 4)
-    return workers * 4
+    return min(n_runs, workers * 4)
 
 
-def _process_pool_viable(workflow_factory, kwargs: dict) -> Optional[str]:
-    """Why the process backend cannot run, or ``None`` if it can.
+def _pool_payload(workflow_factory, seed: int,
+                  kwargs: dict) -> tuple[Optional[bytes], Optional[str]]:
+    """``(payload, None)`` when the process pool can run, else
+    ``(None, reason)``.
 
-    Three requirements: no per-run live objects the parent needs back
-    (``monitor``/``telemetry`` attach to the child's environment and
-    their observations would be lost), a ``fork`` start method (children
-    must inherit the parent's hash randomization so set-iteration
-    order — and therefore the event stream — is identical across
-    executors), and picklable factory/kwargs.
+    ``payload`` is the pickled ``(factory, seed, kwargs)`` tuple the
+    pool initializer unpacks.  Three requirements: no per-run live
+    objects the parent needs back (``monitor``/``telemetry`` attach to
+    the child's environment and their observations would be lost), a
+    ``fork`` start method (children must inherit the parent's hash
+    randomization so set-iteration order — and therefore the event
+    stream — is identical to a serial run), and a picklable
+    factory/kwargs.
     """
     if kwargs.get("monitor") is not None or \
             kwargs.get("telemetry") is not None:
-        return "monitor/telemetry observers cannot cross processes"
+        return None, "monitor/telemetry observers cannot cross processes"
     import multiprocessing
     if "fork" not in multiprocessing.get_all_start_methods():
-        return "requires the fork start method for identical streams"
+        return None, "requires the fork start method for identical streams"
     try:
-        pickle.dumps((workflow_factory, kwargs))
+        return pickle.dumps((workflow_factory, seed, kwargs)), None
     except Exception as exc:  # pickle raises a zoo of types
-        return f"factory/kwargs not picklable ({exc!r})"
-    return None
+        return None, f"factory/kwargs not picklable ({exc!r})"
 
 
 def run_many(workflow_factory, n_runs: int, seed: int = 0,
-             workers: Optional[int] = None, executor: str = "auto",
+             workers: Optional[int] = None,
              **kwargs) -> list[RunResult]:
     """Repeat a workflow ``n_runs`` times (fresh workflow per run).
 
     Repetitions are independent — each gets its own environment,
     cluster, and ``RandomStreams(seed, run_index)`` — so with
-    ``workers > 1`` they fan out over a ``concurrent.futures`` pool.
+    ``workers > 1`` they fan out over a fork ``ProcessPoolExecutor``.
+    The factory/seed/kwargs ship once per pool worker via the pool
+    initializer; chunks of contiguous run indices (adaptively sized,
+    see :func:`_adaptive_chunk_count`) then carry only their indices.
+    Repetitions are pure Python, so a process pool is the only fan-out
+    that buys wall time; a thread pool would serialize on the GIL.
+
     Results always come back ordered by ``run_index`` with
-    bit-identical event streams whatever the executor; parallelism may
-    change wall time, never the data.
-
-    ``executor`` selects the backend:
-
-    * ``"process"`` — a ``ProcessPoolExecutor`` (fork context).  The
-      factory/seed/kwargs ship once per pool worker via the pool
-      initializer; chunks of contiguous run indices (adaptively sized,
-      see :func:`_adaptive_chunk_count`) then carry only their
-      indices.  The only backend that buys wall-time speedup on
-      multi-core machines: repetitions are pure-Python, so threads
-      serialize on the GIL.
-    * ``"thread"`` — a ``ThreadPoolExecutor``.  Overlaps repetitions
-      but does **not** reduce wall time for this CPU-bound workload;
-      useful mainly when callers block on other I/O.
-    * ``"serial"`` — in-order execution on the calling thread.
-    * ``"auto"`` (default) — ``"process"`` when viable (picklable
-      factory/kwargs, fork available, no cross-process observers),
-      ``"thread"`` otherwise.
-
-    When ``"process"`` is requested but not viable the call falls back
-    to threads (and ultimately to serial) with a ``RuntimeWarning``
-    rather than failing — see :func:`_process_pool_viable`.
+    bit-identical event streams whether the pool ran or not;
+    parallelism may change wall time, never the data.  When
+    ``workers > 1`` is asked for but the pool cannot run (see
+    :func:`_pool_payload`), the repetitions run serially and a
+    ``RuntimeWarning`` names the reason.
     """
     results = list(run_many_iter(workflow_factory, n_runs, seed=seed,
-                                 workers=workers, executor=executor,
-                                 _warn_stacklevel=3, **kwargs))
+                                 workers=workers, _warn_stacklevel=3,
+                                 **kwargs))
     results.sort(key=lambda result: result.run_index)
     return results
 
 
 def run_many_iter(workflow_factory, n_runs: int, seed: int = 0,
-                  workers: Optional[int] = None, executor: str = "auto",
+                  workers: Optional[int] = None,
                   _warn_stacklevel: int = 2, **kwargs):
     """Streaming :func:`run_many`: yield results as they complete.
 
     Chunks of repetitions stream back incrementally — the first results
     arrive while the slowest chunk is still running, so consumers can
     aggregate, persist, or abort early instead of blocking on the whole
-    batch.  Yield order is completion order (contiguous within a
+    batch: closing the generator cancels every chunk the pool has not
+    started yet.  Yield order is completion order (contiguous within a
     chunk); :func:`run_many` sorts by ``run_index`` for callers that
-    want the batch semantics.  Executor selection, fallback, and
+    want the batch semantics.  Pool selection, the serial fallback, and
     per-repetition results are identical to :func:`run_many`.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}")
-
-    def one_repetition(run_index: int) -> RunResult:
-        workflow = workflow_factory()
-        return run_workflow(workflow, seed=seed, run_index=run_index,
-                            **kwargs)
-
-    if executor == "serial" or workers is None or workers <= 1 \
-            or n_runs <= 1:
-        for run_index in range(n_runs):
-            yield one_repetition(run_index)
-        return
-
-    if executor in ("process", "auto"):
-        blocker = _process_pool_viable(workflow_factory, kwargs)
+    if workers is not None and workers > 1 and n_runs > 1:
+        payload, blocker = _pool_payload(workflow_factory, seed, kwargs)
         if blocker is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor, \
-                as_completed
-            chunks = _chunk_indices(
-                n_runs, _adaptive_chunk_count(n_runs, workers))
-            # Factory/seed/kwargs ship once per pool worker via the
-            # initializer; each chunk task carries only its indices.
-            payload = pickle.dumps((workflow_factory, seed, kwargs))
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(chunks)),
-                    mp_context=multiprocessing.get_context("fork"),
-                    initializer=_pool_init,
-                    initargs=(payload,),
-            ) as pool:
-                futures = [pool.submit(_run_index_chunk, list(chunk))
-                           for chunk in chunks]
-                for future in as_completed(futures):
-                    yield from future.result()
+            yield from _pool_iter(payload, n_runs, workers)
             return
-        if executor == "process":
-            warnings.warn(
-                f"run_many: process executor unavailable ({blocker}); "
-                f"falling back to threads", RuntimeWarning,
-                stacklevel=_warn_stacklevel)
+        warnings.warn(
+            f"run_many: process pool unavailable ({blocker}); "
+            f"running serially", RuntimeWarning,
+            stacklevel=_warn_stacklevel)
 
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(one_repetition, run_index)
-                   for run_index in range(n_runs)]
-        for future in as_completed(futures):
-            yield future.result()
+    for run_index in range(n_runs):
+        yield run_workflow(workflow_factory(), seed=seed,
+                           run_index=run_index, **kwargs)
+
+
+def _pool_iter(payload: bytes, n_runs: int, workers: int):
+    """Run the repetitions on a fork process pool, yielding each chunk's
+    results as it completes."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+    chunks = _chunk_indices(n_runs, _adaptive_chunk_count(n_runs, workers))
+    with ProcessPoolExecutor(
+            max_workers=min(workers, len(chunks)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_pool_init,
+            initargs=(payload,),
+    ) as pool:
+        futures = [pool.submit(_run_index_chunk, list(chunk))
+                   for chunk in chunks]
+        try:
+            for future in as_completed(futures):
+                yield from future.result()
+        finally:
+            # An early close (or a failed chunk) must not wait for the
+            # chunks nobody will read: the pool's exit joins whatever
+            # is still queued.
+            for future in futures:
+                future.cancel()

@@ -241,41 +241,6 @@ class TestReportRendering:
         assert "1 finding(s)" in text
 
 
-class TestParallelParse:
-    def _tree(self, tmp_path, n=12):
-        for i in range(n):
-            write(tmp_path, f"mod_{i:02d}.py", f"""
-                import time
-
-                def stamp_{i}():
-                    return time.time()
-            """)
-        return str(tmp_path)
-
-    def test_jobs_preserve_finding_order(self, tmp_path):
-        root = self._tree(tmp_path)
-        engine = LintEngine(rules=rules_for(["determinism"]), root=root)
-        serial = engine.run([root])
-        threaded = engine.run([root], jobs=4)
-        assert serial.render_json() == threaded.render_json()
-        assert len(serial.active) == 12
-
-    def test_jobs_cover_project_rules_too(self, tmp_path):
-        write(tmp_path, "sched.py", """
-            class Scheduler:
-                def submit(self, spec):
-                    self.env.process(self._dispatch(spec))
-
-                def _dispatch(self, spec):
-                    candidates = dict(self.workers)
-                    yield self.env.timeout(0.0)
-        """)
-        engine = LintEngine(rules=rules_for(["hotpath"]),
-                            root=str(tmp_path))
-        report = engine.run([str(tmp_path)], jobs=4)
-        assert [f.rule for f in report.active] == ["hot-collection-copy"]
-
-
 class TestBaselineMaintenance:
     def test_stale_entries_reported_in_stats(self, tmp_path):
         path = write(tmp_path, "m.py", DIRTY)

@@ -17,7 +17,6 @@ import pytest
 from repro.core import (
     AnalysisSession,
     RunData,
-    map_sessions,
     sessions_for,
     variability_report,
 )
@@ -166,13 +165,13 @@ class TestCacheSemantics:
         with pytest.raises(KeyError, match="unknown view"):
             session.view("bogus")
 
-    def test_all_views_and_prefetch(self, run_data):
+    def test_all_views_builds_each_view_once(self, run_data):
         session = AnalysisSession.of(run_data)
-        serial = session.all_views()
-        assert sorted(serial) == sorted(VIEW_NAMES)
-        threaded = session.prefetch(workers=3).all_views(workers=3)
+        first = session.all_views()
+        assert list(first) == list(VIEW_NAMES)
+        again = session.all_views()
         for name in VIEW_NAMES:
-            assert threaded[name] is serial[name]
+            assert again[name] is first[name]
         info = session.cache_info()
         assert sorted(info["views_built"]) == sorted(VIEW_NAMES)
 
@@ -217,18 +216,12 @@ class TestLoadDispatch:
 class TestFanOut:
     def test_sessions_for_preserves_order(self):
         runs = [_make_synthetic(n) for n in (2, 3, 4)]
-        for workers in (None, 3):
-            sessions = sessions_for(runs, workers=workers)
-            assert [s.run for s in sessions] == runs
-
-    def test_map_sessions_input_order(self):
-        runs = [_make_synthetic(n) for n in (2, 3, 4)]
-        counts = map_sessions(lambda s: len(s.task_view()),
-                              runs, workers=3)
-        assert counts == [2, 3, 4]
+        sessions = sessions_for(iter(runs))
+        assert [s.run for s in sessions] == runs
+        assert [len(s.task_view()) for s in sessions] == [2, 3, 4]
 
     def test_variability_report_smoke(self, run_data):
-        report = variability_report([run_data, run_data], workers=2)
+        report = variability_report([run_data, run_data])
         assert len(report["sessions"]) == 2
         assert report["sessions"][0] is AnalysisSession.of(run_data)
         assert "total" in report["phases"]

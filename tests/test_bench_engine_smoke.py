@@ -2,10 +2,10 @@
 
 ``bench_engine.py --smoke`` exercises both tiers on tiny sizes under a
 wall-time budget: the micro event storms (timed heap, zero-delay fast
-lane, mixed) and a small ``run_many`` scaling pass that asserts
-serial/thread/process executors produce identical event streams.
-Running it here keeps the benchmark — the budget guard and the
-cross-executor parity assertion inside it — from rotting.
+lane, mixed) and a small ``run_many`` scaling pass that asserts the
+process pool produces the serial run's event streams.  Running it here
+keeps the benchmark — the budget guard and the serial-vs-process
+parity assertion inside it — from rotting.
 """
 
 import importlib.util
@@ -27,5 +27,6 @@ def test_engine_bench_smoke(capsys):
     assert "zero_delay" in out
     assert "mixed" in out
     assert "events/s" in out
-    assert "event streams identical across executors: yes" in out
+    assert "process workers=2" in out
+    assert "event streams identical to serial: yes" in out
     assert "smoke OK" in out          # budget guard engaged and passed

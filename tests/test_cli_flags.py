@@ -1,16 +1,22 @@
 """Flag consistency across the perfrecup subcommands.
 
-Every analysis subcommand shares one parent parser, so ``--out``,
-``--format``, and ``--workers`` must parse identically everywhere —
-the satellite guarantee of the AnalysisSession API redesign, extended
-to the data-lake commands (``ingest``/``query``/``serve``).  The
-workflow-output commands (``faults``/``metrics``/``trace``/
-``sanitize``) share the ``--out``/``--format`` half of that parent.
+Every reporting subcommand shares one parent parser, so ``--out`` and
+``--format`` parse identically everywhere: the analysis commands over
+persisted runs, the data-lake commands (``ingest``/``query``/
+``serve``), and the workflow-output commands (``faults``/``metrics``/
+``trace``/``sanitize``).  ``run --workers`` is the only fan-out flag.
 """
 
 import pytest
 
-from repro.cli import ANALYSIS_COMMANDS, OUTPUT_COMMANDS, build_parser
+from repro.cli import build_parser
+
+#: Subcommands that read persisted runs or a catalog.
+ANALYSIS_COMMANDS = ("analyze", "compare", "figures", "zoom", "report",
+                     "ingest", "query", "serve", "dataplane")
+
+#: Subcommands that run a workflow and report on it.
+OUTPUT_COMMANDS = ("faults", "metrics", "trace", "sanitize")
 
 POSITIONAL = {
     "analyze": ["some/run"],
@@ -31,22 +37,27 @@ POSITIONAL = {
 
 class TestSharedAnalysisFlags:
     @pytest.mark.parametrize("command", ANALYSIS_COMMANDS)
-    def test_accepts_common_flags(self, command):
+    def test_accepts_common_flags(self, command, capsys):
         parser = build_parser()
         args = parser.parse_args(
             [command, *POSITIONAL[command],
-             "--out", "dest", "--format", "json", "--workers", "4"])
+             "--out", "dest", "--format", "json"])
         assert args.command == command
         assert args.out == "dest"
         assert args.format == "json"
-        assert args.workers == 4
+        # Analysis runs serially: no thread fan-out flag to pass.
+        with pytest.raises(SystemExit):
+            parser.parse_args(
+                [command, *POSITIONAL[command], "--workers", "4"])
+        assert "unrecognized arguments: --workers" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ANALYSIS_COMMANDS)
     def test_defaults(self, command):
         args = build_parser().parse_args([command, *POSITIONAL[command]])
         assert args.out is None
         assert args.format == "text"
-        assert args.workers is None
+        assert not hasattr(args, "workers")
 
     @pytest.mark.parametrize("command", ANALYSIS_COMMANDS)
     def test_rejects_unknown_format(self, command, capsys):

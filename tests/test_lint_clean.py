@@ -158,14 +158,6 @@ class TestPlantedViolationsStillDetected:
 class TestLintCliFlags:
     """The maintenance flags the gate and CI scripts rely on."""
 
-    def test_jobs_output_identical(self, capsys):
-        target = os.path.join(PACKAGE_DIR, "analysis")
-        assert main(["lint", "--format", "json", target]) == 0
-        serial = capsys.readouterr().out
-        assert main(["lint", "--format", "json", "--jobs", "4",
-                     target]) == 0
-        assert capsys.readouterr().out == serial
-
     def test_prune_baseline_flow(self, tmp_path, capsys):
         planted = tmp_path / "planted.py"
         planted.write_text("import time\nt = time.time()\n")
