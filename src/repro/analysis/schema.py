@@ -61,7 +61,8 @@ _record_fields_cache: Optional[dict[str, frozenset[str]]] = None
 
 
 def record_fields() -> dict[str, frozenset[str]]:
-    """Dataclass name → field names, for ``asdict(record)`` payloads."""
+    """Dataclass name → field names, for ``asdict(record)`` and
+    ``record_dict(record)`` payloads."""
     global _record_fields_cache
     if _record_fields_cache is None:
         from ..dasklike import records as record_module
@@ -127,19 +128,25 @@ def _annotation_name(annotation: Optional[ast.AST]) -> str:
     return ""
 
 
+#: Calls that flatten a record dataclass into its fields:
+#: ``dataclasses.asdict`` and :func:`repro.dasklike.records.record_dict`.
+_RECORD_FLATTENERS = frozenset({"asdict", "record_dict"})
+
+
 def _resolve_payload(payload: ast.AST,
                      enclosing: Optional[ast.AST]) -> Optional[set[str]]:
     """Statically determine the metadata keys a payload supplies."""
     if isinstance(payload, ast.Dict):
         return _literal_keys(payload)
-    # asdict(record) where ``record`` is an annotated parameter of the
-    # enclosing function and the annotation names a known dataclass.
+    # asdict(record) or record_dict(record) where ``record`` is an
+    # annotated parameter of the enclosing function and the annotation
+    # names a known dataclass.
     if isinstance(payload, ast.Call) and payload.args and \
             isinstance(payload.args[0], ast.Name):
         func = payload.func
         func_name = func.attr if isinstance(func, ast.Attribute) else \
             getattr(func, "id", "")
-        if func_name == "asdict" and enclosing is not None:
+        if func_name in _RECORD_FLATTENERS and enclosing is not None:
             wanted = payload.args[0].id
             for arg in (list(enclosing.args.posonlyargs)
                         + list(enclosing.args.args)
@@ -207,7 +214,8 @@ def _emission_sites(module: ModuleSource):
             if supplied is None:
                 yield (node, "prov-untyped-emission",
                        f"_push({type_arg.value!r}, ...) payload is not a "
-                       f"dict literal or resolvable asdict(record)")
+                       f"dict literal or a resolvable asdict(record) or "
+                       f"record_dict(record)")
             else:
                 yield from _check_type(node, type_arg.value, supplied)
 

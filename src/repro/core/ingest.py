@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..darshan import DarshanReport
+from ..dasklike.records import record_dict
 from ..instrument.metadata import read_provenance
 from ..instrument.recorder import PROVENANCE_TOPIC
 from ..mofka import MofkaService
@@ -38,6 +39,12 @@ class RunData:
     """All observations of one workflow run, source by source."""
 
     #: Mofka event metadata dicts, time-ordered (the Dask-side stream).
+    #: A live load returns the very dicts that were pushed to the
+    #: producers and that the broker keeps, so treat every event as
+    #: read-only.  Live and reloaded events are equal in value and
+    #: order; only the key order inside a dict differs (push order
+    #: live, sorted keys after a round trip through the persisted
+    #: stream).
     events: list = field(default_factory=list)
     #: Aggregated Darshan logs (the I/O side).
     darshan: Optional[DarshanReport] = None
@@ -114,15 +121,13 @@ class RunData:
 
     @classmethod
     def _load_live(cls, run, client=None) -> "RunData":
-        from dataclasses import asdict
-
         from ..mofka import Consumer
         consumer = Consumer(run.env, run.mofka, PROVENANCE_TOPIC)
         events = [e.metadata for e in consumer.fetch_all()]
         darshan = DarshanReport([r.finalize() for r in run.darshan_runtimes])
-        logs = [asdict(entry) for entry in run.dask.all_logs()]
+        logs = [record_dict(entry) for entry in run.dask.all_logs()]
         if client is not None:
-            logs += [asdict(entry) for entry in client.logs]
+            logs += [record_dict(entry) for entry in client.logs]
         logs.sort(key=lambda e: e["time"])
         from ..instrument.metadata import capture_provenance
         provenance = capture_provenance(

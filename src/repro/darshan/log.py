@@ -11,6 +11,7 @@ truncation flag from the bounded DXT buffer.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -100,9 +101,15 @@ class DarshanLog:
 
 
 def write_log(log: DarshanLog, path: str) -> str:
-    """Write one log as gzipped JSON; returns the path written."""
+    """Write one log as gzipped JSON; returns the path written.
+
+    The gzip header's modification time is pinned to 0 (``gzip.open``
+    would stamp the wall clock), so the same log always writes the
+    same bytes.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with gzip.open(path, "wt", encoding="utf-8") as fh:
+    with gzip.GzipFile(path, "wb", mtime=0) as raw, \
+            io.TextIOWrapper(raw, encoding="utf-8") as fh:
         json.dump(log.to_dict(), fh)
     return path
 

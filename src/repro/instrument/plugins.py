@@ -29,14 +29,13 @@ Event ``metadata["type"]`` values:
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
 from ..dasklike.records import (
     CommRecord,
     SpillRecord,
     StealEvent,
     TaskRun,
     WarningRecord,
+    record_dict,
 )
 from ..dasklike.states import TransitionRecord
 from ..mofka import Producer
@@ -98,10 +97,10 @@ class MofkaSchedulerPlugin(_MofkaPluginBase):
         scheduler.plugins.append(self)
 
     def transition(self, record: TransitionRecord) -> None:
-        self._push("transition", asdict(record))
+        self._push("transition", record_dict(record))
 
     def steal(self, record: StealEvent) -> None:
-        self._push("steal", asdict(record))
+        self._push("steal", record_dict(record))
 
     def task_added(self, *, key: str, group: str, prefix: str,
                    deps: list, graph_index: int, timestamp: float) -> None:
@@ -121,16 +120,16 @@ class MofkaWorkerPlugin(_MofkaPluginBase):
         worker.plugins.append(self)
 
     def transition(self, record: TransitionRecord) -> None:
-        self._push("transition", asdict(record))
+        self._push("transition", record_dict(record))
 
     def task_finished(self, record: TaskRun) -> None:
-        self._push("task_run", asdict(record))
+        self._push("task_run", record_dict(record))
 
     def communication(self, record: CommRecord) -> None:
-        self._push("communication", asdict(record))
+        self._push("communication", record_dict(record))
 
     def warning(self, record: WarningRecord) -> None:
-        self._push("warning", asdict(record))
+        self._push("warning", record_dict(record))
 
     def spill_moved(self, record: SpillRecord) -> None:
-        self._push("spill", asdict(record))
+        self._push("spill", record_dict(record))

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import fields
 from typing import Optional
 
 from ..darshan import DEFAULT_BUFFER_LIMIT, DarshanRuntime, write_log
 from ..dasklike import DaskCluster, DaskConfig
+from ..dasklike.records import record_dict
 from ..jobs import Job
 from ..mofka import BedrockConfig, Producer, bootstrap
 from ..platform import Cluster
@@ -44,27 +44,6 @@ from .plugins import MofkaSchedulerPlugin, MofkaWorkerPlugin
 __all__ = ["InstrumentedRun", "PROVENANCE_TOPIC"]
 
 PROVENANCE_TOPIC = "dask-provenance"
-
-#: Field-name tuples per log-entry type, resolved once.  ``asdict``
-#: recurses (and deep-copies) through every row; log entries are flat
-#: dataclasses of scalars, so a shallow ``getattr`` walk produces the
-#: same dict — and the same JSONL bytes — without the copying.
-_FLAT_FIELDS_CACHE: dict[type, tuple[str, ...]] = {}
-
-
-def _log_entry_line(entry) -> str:
-    """One JSONL line for a flat log-entry dataclass.
-
-    Byte-identical to ``json.dumps(asdict(entry))`` for flat rows
-    (field order follows declaration order either way), covered by a
-    regression test against the ``asdict`` form.
-    """
-    cls = type(entry)
-    names = _FLAT_FIELDS_CACHE.get(cls)
-    if names is None:
-        names = tuple(f.name for f in fields(entry))
-        _FLAT_FIELDS_CACHE[cls] = names
-    return json.dumps({name: getattr(entry, name) for name in names})
 
 
 class InstrumentedRun:
@@ -223,7 +202,7 @@ class InstrumentedRun:
             logs = sorted(logs + client.logs, key=lambda e: e.time)
         with open(os.path.join(run_dir, "logs.jsonl"), "w") as fh:
             for entry in logs:
-                fh.write(_log_entry_line(entry) + "\n")
+                fh.write(json.dumps(record_dict(entry)) + "\n")
 
         # Mofka streams.
         self.mofka.dump(os.path.join(run_dir, "mofka"))

@@ -53,11 +53,13 @@ class Event:
     def nbytes(self) -> int:
         """Approximate wire size: JSON metadata plus raw payload.
 
-        Computed on first access and cached (``cached_property``
-        side-steps the frozen ``__setattr__`` via ``__dict__``):
-        producers and partitions consult the size repeatedly for
-        batching decisions, and re-serialising the metadata each time
-        was measurable on the hot path.
+        Only :meth:`MofkaService.fetch` reads it, to time a consumer
+        pull.  Producer batching does not: ``produce_batch`` sizes each
+        pushed event once with ``len(str(metadata))``.  The two
+        estimates differ (``repr`` vs JSON spelling) and both set
+        simulated time, so merging them would move every golden.
+        Cached on first access (``cached_property`` side-steps the
+        frozen ``__setattr__`` via ``__dict__``).
         """
         return len(json.dumps(self.metadata)) + len(self.data)
 

@@ -59,7 +59,13 @@ class Producer:
 
     # -- hot path -----------------------------------------------------------
     def push(self, metadata: dict, data: bytes = b"") -> None:
-        """Enqueue one event; returns immediately (non-blocking)."""
+        """Enqueue one event; returns immediately (non-blocking).
+
+        The broker keeps ``metadata`` itself, not a copy: the same dict
+        is what partitions store, consumers read and live ingest hands
+        to the analysis.  Push a fresh dict per event and do not mutate
+        it afterwards.
+        """
         if self._closed:
             raise RuntimeError("producer closed")
         self._buffer.append((metadata, data))

@@ -2,10 +2,14 @@
 
 "A producer pushes events that are organized into topics in the
 servers" (§III-B).  A topic is a set of partitions; each partition is
-an ordered, persistent event log.  Faithful to the Mochi composition,
-a partition stores event metadata in a :class:`~repro.mofka.yokan.YokanStore`
-(keyed by zero-padded offset, so prefix scans return events in order)
-and payloads in a :class:`~repro.mofka.warabi.WarabiStore`.
+an ordered, persistent event log.  A live partition keeps each event's
+metadata dict exactly as the producer pushed it, and its payload in a
+:class:`~repro.mofka.warabi.WarabiStore`.  The metadata is JSON-encoded
+only when the partition is persisted: :meth:`Partition.dump` writes it
+as a :class:`~repro.mofka.yokan.YokanStore` (keyed by zero-padded
+offset, so prefix scans return events in order, values JSON with sorted
+keys) and :meth:`Partition.load` parses it back, faithful to the Mochi
+composition on disk.
 """
 
 from __future__ import annotations
@@ -21,62 +25,72 @@ __all__ = ["Partition", "Topic"]
 
 
 class Partition:
-    """One ordered event log."""
+    """One ordered event log.
+
+    Entry ``offset`` is ``(timestamp, metadata, region)``: the stored
+    metadata dict, never copied, and the payload's Warabi region.
+    """
 
     def __init__(self, topic: str, index: int):
         self.topic = topic
         self.index = index
-        self.metadata_store = YokanStore(f"{topic}.{index}.meta")
         self.data_store = WarabiStore(f"{topic}.{index}.data")
-        self._n = 0
+        self._entries: list[tuple[float, dict, int]] = []
 
     def __len__(self) -> int:
-        return self._n
+        return len(self._entries)
 
     def append(self, metadata: dict, data: bytes, timestamp: float) -> Event:
-        offset = self._n
-        event = Event(
+        offset = len(self._entries)
+        region = self.data_store.create(data)
+        self._entries.append((timestamp, metadata, region))
+        return Event(
             topic=self.topic, partition=self.index, offset=offset,
             timestamp=timestamp, metadata=metadata, data=data,
         )
-        region = self.data_store.create(data)
-        self.metadata_store.put_json(
-            f"evt/{offset:012d}", {
-                "timestamp": timestamp,
-                "metadata": metadata,
-                "region": region,
-            },
-        )
-        self._n += 1
-        return event
 
     def read(self, offset: int) -> Event:
-        raw = self.metadata_store.get_json(f"evt/{offset:012d}")
-        data = self.data_store.read(raw["region"])
+        if not 0 <= offset < len(self._entries):
+            raise KeyError(f"{self.topic}.{self.index}: no event at "
+                           f"offset {offset}")
+        timestamp, metadata, region = self._entries[offset]
         return Event(
             topic=self.topic, partition=self.index, offset=offset,
-            timestamp=raw["timestamp"], metadata=raw["metadata"], data=data,
+            timestamp=timestamp, metadata=metadata,
+            data=self.data_store.read(region),
         )
 
     def read_range(self, start: int, stop: Optional[int] = None
                    ) -> Iterator[Event]:
-        stop = self._n if stop is None else min(stop, self._n)
+        n = len(self._entries)
+        stop = n if stop is None else min(stop, n)
         for offset in range(start, stop):
             yield self.read(offset)
 
     # -- persistence --------------------------------------------------------
     def dump(self, directory: str) -> None:
         base = os.path.join(directory, f"{self.topic}.{self.index}")
-        self.metadata_store.dump(base + ".meta.jsonl")
+        store = YokanStore(f"{self.topic}.{self.index}.meta")
+        for offset, (timestamp, metadata, region) in enumerate(
+                self._entries):
+            store.put_json(f"evt/{offset:012d}", {
+                "timestamp": timestamp,
+                "metadata": metadata,
+                "region": region,
+            })
+        store.dump(base + ".meta.jsonl")
         self.data_store.dump(base + ".warabi")
 
     @classmethod
     def load(cls, directory: str, topic: str, index: int) -> "Partition":
         base = os.path.join(directory, f"{topic}.{index}")
         part = cls(topic, index)
-        part.metadata_store = YokanStore.load(base + ".meta.jsonl")
+        store = YokanStore.load(base + ".meta.jsonl")
+        for key in store.list_keys("evt/"):
+            raw = store.get_json(key)
+            part._entries.append(
+                (raw["timestamp"], raw["metadata"], raw["region"]))
         part.data_store = WarabiStore.load(base + ".warabi")
-        part._n = len(part.metadata_store.list_keys("evt/"))
         return part
 
 

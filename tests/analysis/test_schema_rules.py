@@ -92,28 +92,38 @@ class TestEmissionSites:
         assert findings == []
 
 
+#: Record-flattening calls the schema resolves through the parameter's
+#: annotation, with the import each fixture needs.
+FLATTENERS = {
+    "asdict": "from dataclasses import asdict",
+    "record_dict": "from repro.dasklike.records import record_dict",
+}
+
+
 class TestUnderscorePushSites:
-    def test_asdict_of_known_record_clean(self):
-        assert lint("""
-            from dataclasses import asdict
+    @pytest.mark.parametrize("flatten", sorted(FLATTENERS))
+    def test_asdict_of_known_record_clean(self, flatten):
+        assert lint(f"""
+            {FLATTENERS[flatten]}
 
             from repro.dasklike.records import TaskRun
 
             class Plugin:
                 def task_finished(self, record: TaskRun) -> None:
-                    self._push("task_run", asdict(record))
+                    self._push("task_run", {flatten}(record))
         """) == []
 
-    def test_asdict_missing_fields_flagged(self):
+    @pytest.mark.parametrize("flatten", sorted(FLATTENERS))
+    def test_asdict_missing_fields_flagged(self, flatten):
         # LogEntry has no key/hostname/thread: wrong record for task_run.
-        findings = lint("""
-            from dataclasses import asdict
+        findings = lint(f"""
+            {FLATTENERS[flatten]}
 
             from repro.dasklike.records import LogEntry
 
             class Plugin:
                 def task_finished(self, record: LogEntry) -> None:
-                    self._push("task_run", asdict(record))
+                    self._push("task_run", {flatten}(record))
         """)
         assert rule_names(findings) == ["prov-missing-identifier"] * 3
         missing = {f.message.split("'")[3] for f in findings}
@@ -128,13 +138,25 @@ class TestUnderscorePushSites:
         assert rule_names(findings) == ["prov-missing-identifier"]
         assert "timestamp" in findings[0].message
 
-    def test_unresolvable_annotation_flagged(self):
-        findings = lint("""
-            from dataclasses import asdict
+    @pytest.mark.parametrize("flatten", sorted(FLATTENERS))
+    def test_unresolvable_annotation_flagged(self, flatten):
+        findings = lint(f"""
+            {FLATTENERS[flatten]}
 
             class Plugin:
                 def hook(self, record: "SomethingUnknown") -> None:
-                    self._push("warning", asdict(record))
+                    self._push("warning", {flatten}(record))
+        """)
+        assert rule_names(findings) == ["prov-untyped-emission"]
+
+    @pytest.mark.parametrize("flatten", sorted(FLATTENERS))
+    def test_unannotated_argument_flagged(self, flatten):
+        findings = lint(f"""
+            {FLATTENERS[flatten]}
+
+            class Plugin:
+                def hook(self, record) -> None:
+                    self._push("warning", {flatten}(record))
         """)
         assert rule_names(findings) == ["prov-untyped-emission"]
 

@@ -4,8 +4,21 @@ import pytest
 
 from repro.core import RunData
 from repro.dasklike import TaskGraph, TaskSpec
+from repro.workflows import (
+    ImageProcessingWorkflow,
+    ResNet152Workflow,
+    XGBoostWorkflow,
+    run_workflow,
+)
 
 from tests.helpers import drive_instrumented, make_instrumented
+
+#: The three paper workflows at a scale small enough for tier-1.
+WORKFLOWS = {
+    "imageprocessing": lambda: ImageProcessingWorkflow(scale=0.05),
+    "resnet152": lambda: ResNet152Workflow(scale=0.03),
+    "xgboost": lambda: XGBoostWorkflow(scale=0.05),
+}
 
 
 class TestEmptyRunData:
@@ -33,13 +46,22 @@ class TestLiveVsDisk:
         run_dir = run.persist(str(tmp_path / "run"), client=client)
         disk = RunData.from_directory(run_dir)
 
-        assert len(live.events) == len(disk.events)
+        assert live.events == disk.events
+        assert live.logs == disk.logs
         assert live.wall_time == pytest.approx(disk.wall_time)
-        live_types = sorted(e["type"] for e in live.events)
-        disk_types = sorted(e["type"] for e in disk.events)
-        assert live_types == disk_types
         assert live.darshan.total_io_ops == disk.darshan.total_io_ops
         assert disk.provenance["seed"] == 41
+
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    def test_paper_workflow_live_equals_reloaded(self, name, tmp_path):
+        # The live path hands out the broker's own dicts; the reloaded
+        # path decodes the persisted stream.  Same values, same order.
+        result = run_workflow(WORKFLOWS[name](), seed=11,
+                              persist_dir=str(tmp_path))
+        live, disk = result.data, RunData.load(result.run_dir)
+        assert len(live.events) > 100
+        assert live.events == disk.events
+        assert live.logs == disk.logs
 
     def test_wall_time_spans_first_to_last_observation(self):
         env, cluster, run = make_instrumented(seed=41)

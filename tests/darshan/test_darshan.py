@@ -162,6 +162,21 @@ class TestLogIO:
         assert back.dxt_segments[0].pthread_id == 7
         assert back.files() == ["/lus/a", "/lus/b"]
 
+    def test_write_is_byte_reproducible(self, tmp_path, monkeypatch):
+        # gzip stamps the wall clock into each header unless told not
+        # to; two persists of one run must not differ by the clock.
+        import gzip
+        log = run_runtime_io([("/lus/a", "read", 0, 2**20, 7)]).finalize()
+
+        def write_at(clock: float) -> bytes:
+            monkeypatch.setattr(gzip.time, "time", lambda: clock)
+            path = tmp_path / f"{clock:.0f}" / "w0.darshan.json.gz"
+            write_log(log, str(path))
+            assert read_log(str(path)).to_dict() == log.to_dict()
+            return path.read_bytes()
+
+        assert write_at(1.0e9) == write_at(1.7e9)
+
 
 class TestReport:
     def make_report(self, tmp_path):

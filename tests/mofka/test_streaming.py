@@ -55,6 +55,36 @@ class TestTopic:
         assert [e.metadata["i"] for e in loaded.events()] == list(range(10))
         assert loaded.events()[3].data == b"d3"
 
+    def test_dump_writes_the_yokan_encoding(self, tmp_path):
+        # Live partitions keep the pushed dicts; the persisted form is
+        # the Yokan store: offset keys, values JSON with sorted keys.
+        topic = Topic("t", 1)
+        part = topic.partitions[0]
+        part.append({"type": "task_run", "worker": "w1", "key": "x-0",
+                     "stop": 1.5}, b"", 0.25)
+        part.append({"type": "warning", "time": 2.0, "kind": "gc"},
+                    b"abc", 2.5)
+        topic.dump(str(tmp_path))
+        assert (tmp_path / "t.0.meta.jsonl").read_bytes() == (
+            rb'{"k": "evt/000000000000", "v": "{\"metadata\": {\"key\": '
+            rb'\"x-0\", \"stop\": 1.5, \"type\": \"task_run\", \"worker\": '
+            rb'\"w1\"}, \"region\": 0, \"timestamp\": 0.25}"}' b"\n"
+            rb'{"k": "evt/000000000001", "v": "{\"metadata\": {\"kind\": '
+            rb'\"gc\", \"time\": 2.0, \"type\": \"warning\"}, \"region\": 1, '
+            rb'\"timestamp\": 2.5}"}' b"\n")
+        assert (tmp_path / "t.0.warabi").read_bytes() == (
+            (0).to_bytes(8, "little") + (3).to_bytes(8, "little") + b"abc")
+
+    def test_read_returns_the_appended_dict(self):
+        part = Topic("t", 1).partitions[0]
+        metadata = {"type": "transition", "key": "x-0"}
+        part.append(metadata, b"", 1.0)
+        assert part.read(0).metadata is metadata
+        with pytest.raises(KeyError):
+            part.read(1)
+        with pytest.raises(KeyError):
+            part.read(-1)
+
     def test_zero_partitions_rejected(self):
         with pytest.raises(ValueError):
             Topic("t", 0)
