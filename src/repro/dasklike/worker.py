@@ -15,6 +15,11 @@ scheme hinges on, so the simulated worker reproduces it literally:
 * a Tornado-style event loop ticks in the background, and a garbage-
   collection model whose pause rate grows with memory pressure produces
   the ``gc_collect`` and ``unresponsive_event_loop`` warnings of Fig. 7.
+  Only a tick that lands in a GC pause can warn, so the loop sleeps
+  while no pause is pending: the GC model wakes it when it draws one,
+  and the loop resumes on the first tick of its replayed
+  ``tick_interval`` grid at or after the draw.  The warnings keep the
+  exact times and delays of a loop that ticked all along.
 """
 
 from __future__ import annotations
@@ -123,6 +128,8 @@ class Worker:
         #: ``None`` keeps every byte on the classic peer-fetch path.
         self.proxy_store = None
         self._gc_until = 0.0
+        #: What the sleeping tick loop waits on; ``None`` while it ticks.
+        self._loop_wake = None
         self._inflight_fetch: dict[str, object] = {}
         self._started = False
         self._closed = False
@@ -200,20 +207,43 @@ class Worker:
     # background health processes
     # ------------------------------------------------------------------
     def _event_loop(self):
-        """Tick loop: detects blocked-loop episodes like Tornado would."""
+        """Tick loop: detects blocked-loop episodes like Tornado would.
+
+        A tick is due every ``tick_interval`` after the previous one
+        (or after the end of a stall).  A tick that finds no GC pause
+        pending does nothing, so while none is pending the loop sleeps
+        until :meth:`_gc_model` draws one, then replays the grid from
+        its last tick to the first tick at or after the draw.  A tick
+        at the very instant of the draw counts: the GC sampler's
+        ``GC_SAMPLE_DT`` step is longer than ``tick_interval``, so its
+        timer for that instant was always scheduled before the tick's.
+        """
+        env = self.env
         interval = self.config.tick_interval
         while not self._closed:
-            expected = self.env.now + interval
-            yield self.env.timeout(interval)
+            expected = env.now + interval
+            if self._gc_until > env.now:
+                yield env.timeout(interval)
+            else:
+                # No tick can warn before the next pause: sleep until
+                # the GC model draws one.
+                self._loop_wake = wake = env.event()
+                yield wake
+                while expected < env.now:
+                    expected += interval
+                yield env.timeout_at(expected)
             if self._closed:
                 # close() landed while we were parked on the timeout;
                 # a warning now would be attributed to a dead worker.
                 return
-            if self._gc_until > self.env.now:
+            if self._gc_until > env.now:
                 # The loop thread is stalled by a stop-the-world pause.
                 stall_end = self._gc_until
-                yield self.env.timeout(stall_end - self.env.now)
-            delay = self.env.now - expected
+                yield env.timeout(stall_end - env.now)
+                if self._closed:
+                    # Same: the worker died during the stall.
+                    return
+            delay = env.now - expected
             if delay > self.config.tick_warn_threshold:
                 self._warn(
                     "unresponsive_event_loop", delay,
@@ -252,6 +282,10 @@ class Worker:
                 f"gc.pause.{self.address}", cfg.gc_pause_sigma
             )
             self._gc_until = max(self._gc_until, self.env.now + pause)
+            wake = self._loop_wake
+            if wake is not None:
+                self._loop_wake = None
+                wake.succeed()
             self._warn(
                 "gc_collect", pause,
                 f"full garbage collection took {pause * 1e3:.0f}ms",

@@ -7,8 +7,13 @@ completion of a workflow" (§III-B).  Two entry points mirror that:
 
 * :meth:`Consumer.pull` — a simulation process that fetches the next
   window of events while the workflow runs (in-situ analysis);
-* :meth:`Consumer.fetch_all` — an immediate bulk read used by the
-  PERFRECUP engine at analysis time.
+* :meth:`Consumer.fetch_all` — an immediate bulk read of the whole
+  stream as :class:`~repro.mofka.event.Event` objects.
+
+PERFRECUP's live :class:`~repro.core.ingest.RunData` load needs only
+the metadata dicts, so it reads them in the same order with
+:meth:`Topic.stream_metadata <repro.mofka.topic.Topic.stream_metadata>`
+instead.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ class Consumer:
     def fetch_all(self) -> list[Event]:
         """Immediate bulk read of everything from the beginning.
 
-        Used for postprocessing; does not advance this consumer's
-        offsets (analysis replays the persistent stream).
+        Does not advance this consumer's offsets.  ``RunData`` no longer
+        uses it: the live load reads the metadata in the same order with
+        :meth:`~repro.mofka.topic.Topic.stream_metadata`, without
+        building an :class:`Event` per row.
         """
         return self.service.topic(self.topic_name).events()

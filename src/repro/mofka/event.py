@@ -70,9 +70,9 @@ def stream_order(event: Event) -> tuple[float, int, int]:
     Events merge across partitions by timestamp; ties break by
     ``(partition, offset)`` so the merged order is total and
     deterministic.  Every reader producing a cross-partition view
-    (:meth:`Topic.events`, :meth:`Consumer.pull`) must sort with this
-    one key, or downstream time-ordered analyses disagree about tie
-    order.
+    (:meth:`Topic.events`, :meth:`Topic.stream_metadata`,
+    :meth:`Consumer.pull`) must sort with this one key, or downstream
+    time-ordered analyses disagree about tie order.
     """
     return (event.timestamp, event.partition, event.offset)
 

@@ -9,16 +9,73 @@ call that never blocks the instrumented code path; a background
 simulation process flushes accumulated batches to the broker when
 either ``batch_size`` events have accumulated or ``linger`` seconds
 have passed.
+
+The flusher's linger timer runs on a grid: it is re-armed ``linger``
+after each wake-up, starting from the end of the last flush.  While the
+buffer is empty the flusher does not tick that grid; it sleeps until
+the first push, which schedules the timer at the next deadline of the
+replayed grid (``t += linger`` in plain float arithmetic).  A buffered
+event therefore flushes at exactly the instant a flusher waking every
+``linger`` would have flushed it (see :class:`_IdleLinger` for the tie
+order).
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from ..sim import Environment, Store
+from ..sim import Environment, Store, Timeout
 from .server import MofkaService
 
 __all__ = ["Producer"]
+
+
+class _IdleLinger:
+    """The idle flusher's linger timer: parked by the flusher, armed by
+    the first push.
+
+    A flusher that woke every ``linger`` would have armed its first idle
+    timer at the moment the buffer went empty, and every later one from
+    the previous deadline.  :meth:`park` records that moment and
+    reserves the sequence number that first timer took, so idle
+    flushers whose grids run in lockstep still fire in the order they
+    went idle, not in the order their first events arrive.  This object
+    is the only owner of that state.
+
+    One tie resolves differently: when the first push lands exactly on
+    a deadline, from an event that the polling timer at that deadline
+    would have preceded, the flusher's wake-up is now queued behind
+    what that event scheduled for the same instant instead of ahead of
+    it.  The flush keeps its instant and its size.
+    """
+
+    __slots__ = ("env", "_since", "_seq", "_timer")
+
+    def __init__(self, env: Environment):
+        self.env = env
+        self._since = 0.0
+        self._seq = 0
+        self._timer: Optional[Timeout] = None
+
+    def park(self) -> Timeout:
+        """The flusher's linger timer for an empty buffer, unscheduled."""
+        self._since = self.env.now
+        self._seq = self.env.reserve_seq()
+        self._timer = timer = Timeout.deferred(self.env)
+        return timer
+
+    def arm(self, linger: float) -> None:
+        """Schedule the parked timer at the first deadline of the linger
+        grid that is not before now; a no-op unless one is parked."""
+        timer = self._timer
+        if timer is None:
+            return
+        self._timer = None
+        now = self.env.now
+        when = self._since + linger
+        while when < now:
+            when += linger
+        timer.schedule_at(when, self._seq)
 
 
 class Producer:
@@ -39,6 +96,7 @@ class Producer:
         self._buffer: list[tuple[dict, bytes]] = []
         self._counter = 0
         self._kick = Store(env)
+        self._idle = _IdleLinger(env)
         self._closed = False
         self._flusher = env.process(self._flush_loop(),
                                     name=f"{name}-flusher")
@@ -70,6 +128,8 @@ class Producer:
             raise RuntimeError("producer closed")
         self._buffer.append((metadata, data))
         self.n_pushed += 1
+        if len(self._buffer) == 1:
+            self._idle.arm(self.linger)
         if len(self._buffer) >= self.batch_size:
             self._kick.put("full")
 
@@ -77,9 +137,13 @@ class Producer:
     def _flush_loop(self):
         while not self._closed or self._buffer:
             if len(self._buffer) < self.batch_size:
-                # Wait for either a kick or the linger timer.
+                # Wait for either a kick or the linger timer; with an
+                # empty buffer the timer waits for the first push.
                 get = self._kick.get()
-                timer = self.env.timeout(self.linger)
+                if self._buffer:
+                    timer = self.env.timeout(self.linger)
+                else:
+                    timer = self._idle.park()
                 yield get | timer
                 if not get.triggered:
                     self._kick.cancel(get)

@@ -23,6 +23,12 @@ Design notes
   Dask futures.
 * ``Interrupt`` support allows the work-stealing and fault-detection
   models to cancel in-flight waits.
+* A periodic process that sleeps while it has nothing to do wakes on a
+  :class:`Timeout` scheduled at an absolute time
+  (:meth:`Environment.timeout_at`, :meth:`Timeout.schedule_at`): it
+  replays its grid in plain float arithmetic instead of ticking it,
+  and may tie-break with a sequence number it reserved when it went
+  idle (:meth:`Environment.reserve_seq`).
 
 Hot-path layout
 ---------------
@@ -197,6 +203,51 @@ class Timeout(Event):
             raise ValueError(f"negative delay {delay}")
         if env.monitor is not None:
             env.monitor.on_schedule(self, when, 0, seq, env._now)
+
+    @classmethod
+    def deferred(cls, env: "Environment", value: Any = None) -> "Timeout":
+        """A timeout that exists but is not scheduled yet.
+
+        Processes may wait on it (alone or in a condition) before
+        :meth:`schedule_at` decides when it fires.  Its ``delay`` is
+        ``None`` until then.
+        """
+        self = cls.__new__(cls)
+        self.env = env
+        self.callbacks = []
+        self._defused = False
+        self.delay = None
+        self._ok = True
+        self._value = value
+        return self
+
+    def schedule_at(self, when: float,
+                    seq: Optional[int] = None) -> "Timeout":
+        """Schedule a :meth:`deferred` timeout at absolute time ``when``.
+
+        ``when`` is used as given: ``now + (when - now)`` is not always
+        ``when`` in floating point, so a process replaying a periodic
+        grid must not go through a relative delay.  ``seq`` is a
+        sequence number taken earlier with
+        :meth:`Environment.reserve_seq`; the timeout then ties with
+        same-time events as if it had been scheduled at that moment.
+        The entry always goes to the timed heap, even when ``when`` is
+        now, because an old ``seq`` would unsort the FIFO lanes.
+        """
+        env = self.env
+        now = env._now
+        if self.delay is not None:
+            raise SimulationError(f"{self!r} is already scheduled")
+        if when < now:
+            raise ValueError(f"timeout at {when} is in the past "
+                             f"(now={now})")
+        if seq is None:
+            env._seq = seq = env._seq + 1
+        self.delay = when - now
+        heappush(env._timed, (when, 0, seq, self))
+        if env.monitor is not None:
+            env.monitor.on_schedule(self, when, 0, seq, now)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout({self.delay}) at {id(self):#x}>"
@@ -494,6 +545,16 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         return Timeout(self, delay, value)
+
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """A :class:`Timeout` that fires at absolute time ``when``."""
+        return Timeout.deferred(self, value).schedule_at(when)
+
+    def reserve_seq(self) -> int:
+        """Take the next sequence number now, for an event scheduled
+        later with :meth:`Timeout.schedule_at`."""
+        self._seq = seq = self._seq + 1
+        return seq
 
     def process(self, generator: Generator, name: str = "") -> Process:
         return Process(self, generator, name=name)

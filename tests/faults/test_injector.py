@@ -196,3 +196,39 @@ class TestHealing:
         original = [node.speed for node in nodes]
         env.run(until=env.timeout(5.0))
         assert [node.speed for node in nodes] == original
+
+
+class TestCrashDuringGCStall:
+    """A worker killed while its event loop is stalled by a GC pause
+    must stay silent: the stalled tick used to resume at the end of the
+    pause and emit ``unresponsive_event_loop`` for the dead worker."""
+
+    def test_dead_worker_emits_no_stall_warning(self):
+        from repro.workflows import XGBoostWorkflow
+
+        def run(faults=None):
+            return run_workflow(XGBoostWorkflow(scale=0.1), seed=41,
+                                faults=faults).data
+        healthy = run()
+        pause = min((e for e in healthy.events_of_type("warning")
+                     if e["kind"] == "gc_collect" and e["duration"] > 1.0),
+                    key=lambda e: (e["time"], e["source"]))
+        victim = pause["source"]
+        crash_at = pause["time"] + pause["duration"] / 2
+        # The healthy run's stall ends with the warning the crash must
+        # suppress.
+        assert any(e["kind"] == "unresponsive_event_loop"
+                   and e["source"] == victim
+                   and e["time"] >= pause["time"] + pause["duration"]
+                   for e in healthy.events_of_type("warning"))
+
+        faulty = run(FaultSchedule([FaultSpec(
+            "worker_crash", crash_at - healthy.job["start_time"],
+            target=victim)]))
+        fired = [e for e in faulty.events_of_type("warning")
+                 if e["kind"] == "fault_worker_crash"]
+        assert [e["source"] for e in fired] == [victim]
+        assert fired[0]["time"] == pytest.approx(crash_at)
+        after = [e for e in faulty.events_of_type("warning")
+                 if e["source"] == victim and e["time"] > fired[0]["time"]]
+        assert after == []
