@@ -105,12 +105,16 @@ def write_log(log: DarshanLog, path: str) -> str:
 
     The gzip header's modification time is pinned to 0 (``gzip.open``
     would stamp the wall clock), so the same log always writes the
-    same bytes.
+    same bytes.  The text is built with one ``json.dumps`` rather than
+    streamed with ``json.dump``: CPython uses its C encoder only for a
+    one-shot encode, and ``json.dump`` to a file object runs the
+    pure-Python one.  The text, and so the compressed bytes, are the
+    same.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with gzip.GzipFile(path, "wb", mtime=0) as raw, \
             io.TextIOWrapper(raw, encoding="utf-8") as fh:
-        json.dump(log.to_dict(), fh)
+        fh.write(json.dumps(log.to_dict()))
     return path
 
 

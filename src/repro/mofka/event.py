@@ -29,26 +29,6 @@ class Event:
     metadata: dict
     data: bytes = b""
 
-    def to_json(self) -> str:
-        """Line-oriented serialisation (metadata only references data)."""
-        return json.dumps({
-            "topic": self.topic,
-            "partition": self.partition,
-            "offset": self.offset,
-            "timestamp": self.timestamp,
-            "metadata": self.metadata,
-            "data_size": len(self.data),
-        }, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, line: str, data: bytes = b"") -> "Event":
-        raw = json.loads(line)
-        return cls(
-            topic=raw["topic"], partition=raw["partition"],
-            offset=raw["offset"], timestamp=raw["timestamp"],
-            metadata=raw["metadata"], data=data,
-        )
-
     @cached_property
     def nbytes(self) -> int:
         """Approximate wire size: JSON metadata plus raw payload.

@@ -9,11 +9,13 @@ only when the partition is persisted: :meth:`Partition.dump` writes it
 as a :class:`~repro.mofka.yokan.YokanStore` (keyed by zero-padded
 offset, so prefix scans return events in order, values JSON with sorted
 keys) and :meth:`Partition.load` parses it back, faithful to the Mochi
-composition on disk.
+composition on disk.  Each event is thus JSON inside JSON; both layers
+are decoded with one ``json.loads`` per partition, not one per event.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from typing import Iterator, Optional
 
@@ -83,14 +85,26 @@ class Partition:
 
     @classmethod
     def load(cls, directory: str, topic: str, index: int) -> "Partition":
+        """Reload a partition :meth:`dump` wrote.
+
+        The ``evt/`` values, one JSON object per event, are parsed with
+        one ``json.loads`` over their joined text.  Every
+        :meth:`append` creates exactly one Warabi region, so a
+        ``.warabi`` holding another number of blobs than there are
+        entries is rejected with :class:`ValueError`.
+        """
         base = os.path.join(directory, f"{topic}.{index}")
         part = cls(topic, index)
         store = YokanStore.load(base + ".meta.jsonl")
-        for key in store.list_keys("evt/"):
-            raw = store.get_json(key)
-            part._entries.append(
-                (raw["timestamp"], raw["metadata"], raw["region"]))
+        rows = json.loads(
+            "[" + ",".join(v for _, v in store.iter_prefix("evt/")) + "]")
+        part._entries = [(raw["timestamp"], raw["metadata"], raw["region"])
+                         for raw in rows]
         part.data_store = WarabiStore.load(base + ".warabi")
+        if len(part.data_store) != len(part._entries):
+            raise ValueError(
+                f"partition {topic}.{index}: {len(part.data_store)} "
+                f"Warabi blobs for {len(part._entries)} events")
         return part
 
 

@@ -3,6 +3,12 @@
 Stores raw byte payloads under opaque region IDs (the data portion of
 Mofka events lands here; metadata goes to Yokan).  Supports partial
 reads, which is how consumers fetch only the payloads they need.
+
+A persisted store is one frame per region, in region order: the blob's
+size as 8 little-endian bytes, then the blob.  :meth:`WarabiStore.dump`
+writes all frames in one ``write``; :meth:`WarabiStore.load` reads the
+file once, slices the frames from memory and rejects a file whose last
+frame is cut short.
 """
 
 from __future__ import annotations
@@ -51,19 +57,34 @@ class WarabiStore:
     # -- persistence ---------------------------------------------------------
     def dump(self, path: str) -> None:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        frames = []
+        for blob in self._blobs:
+            frames.append(len(blob).to_bytes(8, "little"))
+            frames.append(blob)
         with open(path, "wb") as fh:
-            for blob in self._blobs:
-                fh.write(len(blob).to_bytes(8, "little"))
-                fh.write(blob)
+            fh.write(b"".join(frames))
 
     @classmethod
     def load(cls, path: str, name: str = "warabi") -> "WarabiStore":
+        """Reload a file :meth:`dump` wrote.
+
+        Raises :class:`ValueError` naming the path and the byte offset
+        when the file ends inside a frame's 8-byte header or its blob.
+        """
         store = cls(name)
         with open(path, "rb") as fh:
-            while True:
-                header = fh.read(8)
-                if not header:
-                    break
-                size = int.from_bytes(header, "little")
-                store._blobs.append(fh.read(size))
+            raw = fh.read()
+        pos, end = 0, len(raw)
+        while pos < end:
+            if end - pos < 8:
+                raise ValueError(
+                    f"{path}: truncated Warabi header at byte {pos}: "
+                    f"{end - pos} of 8 bytes")
+            size = int.from_bytes(raw[pos:pos + 8], "little")
+            start, pos = pos + 8, pos + 8 + size
+            if pos > end:
+                raise ValueError(
+                    f"{path}: truncated Warabi blob at byte {start}: "
+                    f"{end - start} of {size} bytes")
+            store._blobs.append(raw[start:pos])
         return store

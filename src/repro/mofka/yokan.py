@@ -6,15 +6,28 @@ and bootstrapping, and SSG for group membership and fault detection"
 (§III-B).  This is the key/value component: an ordered map with prefix
 scans, used by the broker to index partition offsets and topic
 metadata, with optional JSON-lines persistence.
+
+A persisted store is one line ``{"k": <key>, "v": <value>}`` per key,
+in key order, spelled exactly as ``json.dumps`` spells that dict.  The
+codec works on the whole file at once: :meth:`YokanStore.dump` writes
+every line in one ``write`` and :meth:`YokanStore.load` parses every
+line with one ``json.loads``, so a partition of thousands of events
+pays no ``json.dumps`` or ``json.loads`` per line.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, Optional
 
 __all__ = ["YokanStore"]
+
+#: The encoder behind :meth:`YokanStore.put_json`.  ``json.dumps(value,
+#: sort_keys=True)`` builds a new ``JSONEncoder`` on every call; this
+#: one is built once and holds no per-call state.
+_SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class YokanStore:
@@ -53,23 +66,44 @@ class YokanStore:
 
     # -- JSON convenience --------------------------------------------------
     def put_json(self, key: str, value: object) -> None:
-        self.put(key, json.dumps(value, sort_keys=True))
+        self.put(key, _SORTED_ENCODER.encode(value))
 
     def get_json(self, key: str) -> object:
         return json.loads(self.get(key))
 
     # -- persistence ---------------------------------------------------------
     def dump(self, path: str) -> None:
+        """Write one ``{"k": ..., "v": ...}`` line per key, in key order.
+
+        Each line is spelled by hand with ``encode_basestring_ascii``,
+        the function ``json.dumps`` itself uses for a ``str``; since
+        :meth:`put` admits only ``str`` keys and values, the bytes are
+        those of ``json.dumps({"k": key, "v": value})``.
+        """
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        data = self._data
+        text = "".join([
+            '{"k": ' + encode_basestring_ascii(key) + ', "v": '
+            + encode_basestring_ascii(data[key]) + '}\n'
+            for key in self.list_keys()
+        ])
         with open(path, "w", encoding="utf-8") as fh:
-            for key in self.list_keys():
-                fh.write(json.dumps({"k": key, "v": self._data[key]}) + "\n")
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str, name: str = "yokan") -> "YokanStore":
+        """Parse a file :meth:`dump` wrote, with one ``json.loads``.
+
+        The lines are split on the ``"\\n"`` the writer emits and
+        parsed as the items of one JSON array.  ``str.splitlines`` would
+        be wrong here: it also splits on ``\\x1c``-``\\x1e``, ``\\x85``
+        and U+2028/U+2029.
+        """
         store = cls(name)
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                row = json.loads(line)
-                store._data[row["k"]] = row["v"]
+            lines = fh.read().split("\n")
+        if not lines[-1]:
+            lines.pop()
+        rows = json.loads("[" + ",".join(lines) + "]")
+        store._data = {row["k"]: row["v"] for row in rows}
         return store

@@ -1,8 +1,16 @@
 """One-shot generator for the ordered-stream goldens.
 
-Prints the sha256 of every ``mofka/*.meta.jsonl``, ``logs.jsonl`` and
-``job.json`` that ``tests/workflows/test_stream_goldens.py`` pins.  The
-digests depend on ``PYTHONHASHSEED`` (the intake order of
+Prints the sha256 of every host-independent persisted file that
+``tests/workflows/test_stream_goldens.py`` pins: each
+``mofka/*.meta.jsonl``, ``mofka/*.warabi`` and ``mofka/MANIFEST``, the
+decompressed JSON of each ``darshan/*.darshan.json.gz``, ``logs.jsonl``
+and ``job.json``.  A Darshan log is hashed after ``gzip.decompress``
+because its compressed bytes depend on the zlib build; the logs' raw
+bytes are compared between two commits on one host instead (see
+``tests/darshan/test_log_codec.py``).  ``provenance.json`` stays
+unpinned: it records the Python version.
+
+The digests depend on ``PYTHONHASHSEED`` (the intake order of
 ``update_graph`` follows string hashes), so always run it pinned::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python tests/dasklike/_stream_golden_gen.py
@@ -11,6 +19,7 @@ The test runs :func:`digests` in a subprocess under the same hash seed
 and compares against the inlined output.
 """
 
+import gzip
 import hashlib
 import json
 import pathlib
@@ -38,8 +47,19 @@ RUNS = (
 
 
 def pinned_files(run_dir: pathlib.Path) -> list[pathlib.Path]:
-    return (sorted((run_dir / "mofka").glob("*.meta.jsonl"))
+    mofka = run_dir / "mofka"
+    return (sorted(mofka.glob("*.meta.jsonl"))
+            + sorted(mofka.glob("*.warabi"))
+            + [mofka / "MANIFEST"]
+            + sorted((run_dir / "darshan").glob("*.darshan.json.gz"))
             + [run_dir / "logs.jsonl", run_dir / "job.json"])
+
+
+def pinned_bytes(path: pathlib.Path) -> bytes:
+    """The bytes pinned for ``path``: decompressed for a ``.gz`` file,
+    raw for every other."""
+    data = path.read_bytes()
+    return gzip.decompress(data) if path.suffix == ".gz" else data
 
 
 def digests() -> dict:
@@ -50,7 +70,7 @@ def digests() -> dict:
             run_dir = next(pathlib.Path(tmp).glob("*/run0000"))
             out[label] = {
                 str(path.relative_to(run_dir)):
-                    hashlib.sha256(path.read_bytes()).hexdigest()
+                    hashlib.sha256(pinned_bytes(path)).hexdigest()
                 for path in pinned_files(run_dir)
             }
     return out

@@ -13,25 +13,6 @@ class TestEvent:
                      metadata={"type": "task_run", "key": "('x', 1)"},
                      data=b"\x00payload")
 
-    def test_json_roundtrip_metadata(self):
-        event = self.make()
-        line = event.to_json()
-        parsed = json.loads(line)
-        assert parsed["topic"] == "t"
-        assert parsed["offset"] == 7
-        assert parsed["data_size"] == 8
-        back = Event.from_json(line, data=event.data)
-        assert back.metadata == event.metadata
-        assert back.data == event.data
-        assert back.timestamp == 3.5
-
-    def test_json_is_sorted_and_stable(self):
-        event = self.make()
-        assert event.to_json() == event.to_json()
-        # sorted keys -> deterministic serialization
-        keys = list(json.loads(event.to_json()))
-        assert keys == sorted(keys)
-
     def test_nbytes_counts_metadata_and_payload(self):
         event = self.make()
         assert event.nbytes == len(json.dumps(event.metadata)) + 8

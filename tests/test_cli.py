@@ -62,6 +62,15 @@ class TestAnalyze:
         assert "Longest task categories" in out
         assert "Darshan summary" in out
 
+    def test_analyze_rejects_truncated_warabi(self, tmp_path,
+                                              persisted_run):
+        import shutil
+        run_dir = shutil.copytree(persisted_run, tmp_path / "run")
+        blobs = run_dir / "mofka" / "dask-provenance.0.warabi"
+        blobs.write_bytes(blobs.read_bytes()[:-5])
+        with pytest.raises(ValueError, match="truncated Warabi"):
+            main(["analyze", str(run_dir)])
+
 
 class TestProvenance:
     def test_provenance_default_key(self, capsys, persisted_run):
