@@ -25,30 +25,25 @@ Subpackages
 ``repro.core``
     PERFRECUP: the multisource tabular analysis and visualization
     engine.
-``repro.lake``
-    The provenance data lake: sharded multi-run catalog, LRU session
-    cache, and the ``perfrecup serve`` query daemon.
 ``repro.workflows``
     The three evaluation workflows and the multi-run experiment runner.
 
-Entry points: :func:`open_run` / :func:`open_catalog` below, the
-``perfrecup`` CLI (``repro.cli``), and the experiment registry
-(``repro.experiments``).
+Entry points: :func:`open_run` below, the ``perfrecup`` CLI
+(``repro.cli``), and the experiment registry (``repro.experiments``).
 
 The accepted-source matrix of :func:`open_run` (one dispatcher,
 :meth:`repro.core.RunData.load`, behind every entry)::
 
     open_run("./results/xgboost/run0000")   # persisted run directory
-    open_run("lake://./mylake/<run_id>")    # catalog URI
     open_run(result)                        # RunResult from run_many
     open_run(result.data)                   # bare RunData
     open_run(session)                       # pass-through
     open_run(instrumented_run)              # live InstrumentedRun
 """
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
-__all__ = ["__version__", "open_run", "open_catalog"]
+__all__ = ["__version__", "open_run"]
 
 
 def open_run(source, client=None):
@@ -61,13 +56,3 @@ def open_run(source, client=None):
     from .core import AnalysisSession
     return AnalysisSession.of(source, client=client)
 
-
-def open_catalog(root, **knobs):
-    """Open (creating on first use) the run catalog rooted at ``root``.
-
-    ``knobs`` are the capacity settings of
-    :meth:`repro.lake.Catalog.open` (``max_sessions``,
-    ``max_cached_events``, ``wall_bucket_s``).
-    """
-    from .lake import Catalog
-    return Catalog.open(root, **knobs)

@@ -432,119 +432,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     return _deliver(args, text, records)
 
 
-def _open_catalog_from_args(args: argparse.Namespace):
-    from .lake import Catalog
-    knobs = {}
-    if getattr(args, "cache_sessions", None) is not None:
-        knobs["max_sessions"] = args.cache_sessions
-    if getattr(args, "cache_events", None) is not None:
-        knobs["max_cached_events"] = args.cache_events
-    if getattr(args, "wall_bucket", None) is not None:
-        knobs["wall_bucket_s"] = args.wall_bucket
-    return Catalog.open(args.catalog_root, **knobs)
-
-
-def cmd_ingest(args: argparse.Namespace) -> int:
-    """Register new run directories into a catalog (incremental)."""
-    catalog = _open_catalog_from_args(args)
-    entries = []
-    for runs_dir in args.runs_dirs:
-        entries += catalog.ingest(runs_dir, date=args.date)
-    rows = [{
-        "run_id": e.run_id, "workflow": e.workflow, "date": e.date,
-        "wall_s": round(e.wall_time, 2), "n_events": e.n_events,
-    } for e in entries]
-    text = format_records(
-        rows, title=f"ingested {len(entries)} new run(s) into "
-                    f"{catalog.root}") if rows else \
-        f"ingested 0 new run(s) into {catalog.root} (all up to date)"
-    document = {
-        "catalog": catalog.root,
-        "registered": len(entries),
-        "runs": [e.as_dict() for e in entries],
-    }
-    return _deliver(args, text, document)
-
-
-def cmd_query(args: argparse.Namespace) -> int:
-    """One catalog query, in-process or against a serve daemon.
-
-    ``target`` is either a catalog root directory (query runs
-    in-process) or a daemon base URL (``http://host:port``); the
-    payload bytes are identical either way.
-    """
-    from .lake import Catalog, LakeQueryError, http_query
-
-    try:
-        if args.target.startswith(("http://", "https://")):
-            payload = http_query(args.target, args.query)
-        else:
-            payload = Catalog.open(args.target).query_json(args.query)
-    except LakeQueryError as exc:
-        print(f"query failed ({exc.status}): {exc.message}",
-              file=sys.stderr)
-        return 1
-    document = json.loads(payload.decode("utf-8"))
-
-    if args.format == "json" and not args.out:
-        # The canonical payload, byte-for-byte (what the daemon sent).
-        sys.stdout.write(payload.decode("utf-8"))
-        return 0
-    if isinstance(document, dict) and "runs" in document \
-            and document.get("runs") and \
-            isinstance(document["runs"][0], dict):
-        rows = [{k: run[k] for k in (
-            "run_id", "workflow", "date", "config_hash",
-            "fault_signature", "wall_time", "n_tasks")}
-            for run in document["runs"]]
-        text = format_records(
-            rows, title=f"{document['n_runs']} matching run(s)")
-    elif isinstance(document, dict) and "by_prefix" in document:
-        sections = [format_records(
-            [document["phases"][p]
-             for p in ("io", "communication", "computation", "total")],
-            title=f"Phase variability over {document['n_runs']} runs")]
-        sections.append(format_records(
-            document["by_prefix"],
-            title="Task categories by cross-run variability"))
-        text = "\n\n".join(sections)
-    else:
-        text = json.dumps(document, indent=2, default=str)
-    return _deliver(args, text, document)
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    """Run the long-lived analysis daemon over one catalog."""
-    from .lake import serve
-
-    catalog = _open_catalog_from_args(args)
-    for runs_dir in args.ingest or ():
-        catalog.ingest(runs_dir)
-    server = serve(catalog, host=args.host, port=args.port,
-                   verbose=args.verbose)
-    n_runs = len(catalog.indexes.run_shards)
-    line = (f"serving catalog {catalog.root} ({n_runs} run(s)) "
-            f"at {server.address}")
-    if args.format == "json":
-        line = json.dumps({"address": server.address,
-                           "catalog": catalog.root, "n_runs": n_runs})
-    if args.out:
-        # Just the address: scripts poll this file to find the
-        # ephemeral port, so keep it machine-readable.
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(server.address + "\n")
-    print(line, flush=True)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
-    return 0
-
-
 def cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(WORKFLOWS):
         print(name)
@@ -766,54 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--interval", type=float, default=0.5,
                        help="metric sampling interval (sim seconds)")
     p_met.set_defaults(func=cmd_metrics)
-
-    p_ing = sub.add_parser(
-        "ingest", parents=[output],
-        help="register new runs into a provenance data lake catalog")
-    p_ing.add_argument("catalog_root",
-                       help="catalog root directory (created on first "
-                            "use)")
-    p_ing.add_argument("runs_dirs", nargs="+", metavar="runs_dir",
-                       help="directories scanned recursively for "
-                            "persisted run dirs (provenance.json)")
-    p_ing.add_argument("--date", default=None,
-                       help="partition label for runs without one "
-                            "(default: 'undated')")
-    p_ing.set_defaults(func=cmd_ingest)
-
-    p_query = sub.add_parser(
-        "query", parents=[output],
-        help="query a catalog (in-process) or a serve daemon (HTTP)")
-    p_query.add_argument("target",
-                         help="catalog root directory, or daemon base "
-                              "URL (http://host:port)")
-    p_query.add_argument("query",
-                         help="route with query string, e.g. "
-                              "'/runs?workflow=xgboost' or "
-                              "'/reports/variability?workflow=xgboost'")
-    p_query.set_defaults(func=cmd_query)
-
-    p_srv = sub.add_parser(
-        "serve", parents=[output],
-        help="long-lived JSON-over-HTTP daemon over one catalog")
-    p_srv.add_argument("catalog_root", help="catalog root directory")
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument("--port", type=int, default=0,
-                       help="TCP port (default 0: ephemeral; the bound "
-                            "address is printed at startup)")
-    p_srv.add_argument("--ingest", action="append", metavar="RUNS_DIR",
-                       help="ingest this directory before serving "
-                            "(repeatable)")
-    p_srv.add_argument("--cache-sessions", type=int, default=None,
-                       help="LRU session-cache entry cap")
-    p_srv.add_argument("--cache-events", type=int, default=None,
-                       help="LRU session-cache size cap (total cached "
-                            "event/log/metric records)")
-    p_srv.add_argument("--wall-bucket", type=float, default=None,
-                       help="wall-time index bucket width in seconds")
-    p_srv.add_argument("--verbose", action="store_true",
-                       help="log each request to stderr")
-    p_srv.set_defaults(func=cmd_serve)
 
     p_list = sub.add_parser("list-workflows", help="list workflow names")
     p_list.set_defaults(func=cmd_list)

@@ -21,7 +21,6 @@ order, so downstream statistics stay deterministic.
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable
 
 from .ingest import RunData
@@ -50,10 +49,6 @@ class AnalysisSession:
         self.run = run
         self._views: dict[str, Table] = {}
         self._derived: dict[str, object] = {}
-        # One reentrant lock guards both caches: derived analyses build
-        # views, and the lake daemon serves one session from several
-        # request threads.
-        self._lock = threading.RLock()
 
     # -- construction ------------------------------------------------------
     @classmethod
@@ -88,11 +83,8 @@ class AnalysisSession:
                 raise KeyError(
                     f"unknown view {name!r}; have {list(VIEW_NAMES)}"
                 ) from None
-            with self._lock:
-                table = self._views.get(name)
-                if table is None:
-                    table = builder(self.run)
-                    self._views[name] = table
+            table = builder(self.run)
+            self._views[name] = table
         return table
 
     def task_view(self) -> Table:
@@ -180,11 +172,8 @@ class AnalysisSession:
         marker = object()
         value = self._derived.get(key, marker)
         if value is marker:
-            with self._lock:
-                value = self._derived.get(key, marker)
-                if value is marker:
-                    value = build()
-                    self._derived[key] = value
+            value = build()
+            self._derived[key] = value
         return value
 
     def phase_breakdown(self):

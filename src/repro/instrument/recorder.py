@@ -18,6 +18,7 @@ directory PERFRECUP consumes::
         logs.jsonl               # client/scheduler/worker text logs
         mofka/                   # persisted event streams
         darshan/worker-*.darshan.json.gz
+        telemetry/               # trace + metrics, with a Telemetry bundle
 
 Dask data and Darshan data are collected separately and only fused at
 analysis time (§III-E3) — nothing here cross-references the two except
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from typing import Optional
 
 from ..darshan import DEFAULT_BUFFER_LIMIT, DarshanRuntime, write_log
@@ -179,8 +181,19 @@ class InstrumentedRun:
     # ------------------------------------------------------------------
     def persist(self, run_dir: str, client=None,
                 workflow: Optional[dict] = None) -> str:
-        """Write the complete run directory; returns its path."""
+        """Write the complete run directory; returns its path.
+
+        A directory holds one run.  Persisting into one that already
+        holds a run replaces it: the top-level files are overwritten and
+        the subdirectories written here are removed first, so no Mofka
+        partition, Darshan log or telemetry file of the earlier run
+        survives into the reload.
+        """
         os.makedirs(run_dir, exist_ok=True)
+        for owned in ("mofka", "darshan", "telemetry"):
+            path = os.path.join(run_dir, owned)
+            if os.path.isdir(path):
+                shutil.rmtree(path)
 
         # Layered provenance metadata (Fig. 1).
         write_provenance(

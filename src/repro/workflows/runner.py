@@ -122,7 +122,7 @@ def run_workflow(workflow: Workflow, seed: int = 0, run_index: int = 0,
             persist_dir, workflow.name.lower(), f"run{run_index:04d}")
         run.persist(run_dir, client=client, workflow=workflow.describe())
 
-    data = RunData.from_live(run, client)
+    data = RunData.load(run, client=client)
     return RunResult(data=data, run_index=run_index,
                      wall_time=data.wall_time, run_dir=run_dir,
                      telemetry=telemetry,

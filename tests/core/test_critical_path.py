@@ -35,7 +35,7 @@ def chain_run():
         prev = spec.key
     client, _ = drive_instrumented(env, run, TaskGraph(tasks),
                                    optimize=False)
-    return RunData.from_live(run, client)
+    return RunData.load(run, client=client)
 
 
 class TestCriticalPath:

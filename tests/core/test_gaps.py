@@ -24,7 +24,7 @@ class TestCleanRun:
         env, cluster, run = make_instrumented(seed=47)
         client, _ = drive_instrumented(env, run, io_graph(cluster),
                                        optimize=False)
-        gaps = metadata_gaps(RunData.from_live(run, client))
+        gaps = metadata_gaps(RunData.load(run, client=client))
         assert gaps["clean"], gaps
         assert gaps["unattributed_io_ops"]["count"] == 0
         report = format_gap_report(gaps)
@@ -36,7 +36,7 @@ class TestDetectsTruncation:
         env, cluster, run = make_instrumented(seed=47, dxt_buffer_limit=1)
         client, _ = drive_instrumented(env, run, io_graph(cluster),
                                        optimize=False)
-        gaps = metadata_gaps(RunData.from_live(run, client))
+        gaps = metadata_gaps(RunData.load(run, client=client))
         assert not gaps["clean"]
         assert gaps["dxt_truncation"]["truncated"]
         assert "GAPS FOUND" in format_gap_report(gaps)
@@ -64,7 +64,7 @@ class TestDetectsErredTasks:
             yield env.process(run.drain())
 
         env.run(until=env.process(driver()))
-        gaps = metadata_gaps(RunData.from_live(run, client))
+        gaps = metadata_gaps(RunData.load(run, client=client))
         snr = gaps["submitted_never_ran"]
         assert snr["count"] == 1
         assert snr["explained_by_errors"] == 1

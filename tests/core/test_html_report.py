@@ -42,7 +42,7 @@ def report_pair(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("report-run"))
     result = run_workflow(ImageProcessingWorkflow(scale=0.05), seed=8,
                           persist_dir=out)
-    data = RunData.from_directory(result.run_dir)
+    data = RunData.load(result.run_dir)
     return data, result.run_dir
 
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.core import RunData
 from repro.dasklike import TaskGraph, TaskSpec
+from repro.jobs import JobSpec
+from repro.telemetry import Telemetry
 from repro.workflows import (
     ImageProcessingWorkflow,
     ResNet152Workflow,
@@ -30,7 +32,7 @@ class TestEmptyRunData:
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            RunData.from_directory(str(tmp_path / "nope"))
+            RunData.load(str(tmp_path / "nope"))
 
 
 class TestLiveVsDisk:
@@ -42,9 +44,9 @@ class TestLiveVsDisk:
             for i in range(6)
         ])
         client, _ = drive_instrumented(env, run, graph, optimize=False)
-        live = RunData.from_live(run, client)
+        live = RunData.load(run, client=client)
         run_dir = run.persist(str(tmp_path / "run"), client=client)
-        disk = RunData.from_directory(run_dir)
+        disk = RunData.load(run_dir)
 
         assert live.events == disk.events
         assert live.logs == disk.logs
@@ -63,12 +65,27 @@ class TestLiveVsDisk:
         assert live.events == disk.events
         assert live.logs == disk.logs
 
+    def test_repersist_replaces_the_earlier_run(self, tmp_path):
+        # The first run writes telemetry and eight Darshan logs; the
+        # second, on one worker node, writes four logs and no telemetry,
+        # and must reload as itself with nothing of the first.
+        run_workflow(XGBoostWorkflow(scale=0.03), seed=1,
+                     telemetry=Telemetry(), persist_dir=str(tmp_path))
+        result = run_workflow(XGBoostWorkflow(scale=0.03), seed=2,
+                              job_spec=JobSpec(worker_nodes=1),
+                              persist_dir=str(tmp_path))
+        live, disk = result.data, RunData.load(result.run_dir)
+        assert disk.events == live.events
+        assert disk.logs == live.logs
+        assert disk.metrics == live.metrics == []
+        assert len(disk.darshan.logs) == len(live.darshan.logs)
+
     def test_wall_time_spans_first_to_last_observation(self):
         env, cluster, run = make_instrumented(seed=41)
         graph = TaskGraph([TaskSpec(key="solo-ff66bb22",
                                     compute_time=0.5, output_nbytes=1)])
         client, _ = drive_instrumented(env, run, graph, optimize=False)
-        data = RunData.from_live(run, client)
+        data = RunData.load(run, client=client)
         assert data.wall_time > 0.5  # at least the task itself
 
     def test_events_of_type_filters(self):
@@ -76,6 +93,6 @@ class TestLiveVsDisk:
         graph = TaskGraph([TaskSpec(key="one-cc77dd33",
                                     compute_time=0.01, output_nbytes=1)])
         client, _ = drive_instrumented(env, run, graph, optimize=False)
-        data = RunData.from_live(run, client)
+        data = RunData.load(run, client=client)
         assert len(data.events_of_type("task_run")) == 1
         assert data.events_of_type("bogus-type") == []

@@ -59,7 +59,7 @@ def run_data():
     env, cluster, run = make_instrumented(seed=11)
     client, _ = drive_instrumented(env, run, io_workload(cluster),
                                    optimize=False)
-    return RunData.from_live(run, client)
+    return RunData.load(run, client=client)
 
 
 class TestViews:
@@ -217,7 +217,7 @@ class TestCrossRun:
             env, cluster, run = make_instrumented(seed=11, run_index=k)
             client, _ = drive_instrumented(
                 env, run, io_workload(cluster), optimize=False)
-            data = RunData.from_live(run, client)
+            data = RunData.load(run, client=client)
             breakdowns.append(phase_breakdown(data))
             views.append(AnalysisSession.of(data).task_view())
         stats = phase_variability(breakdowns)

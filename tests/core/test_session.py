@@ -205,8 +205,6 @@ class TestLoadDispatch:
         from_path = RunData.load(run_dir)
         assert len(from_path.events) == len(
             RunData.load(run, client=client).events)
-        shim = RunData.from_directory(run_dir)
-        assert len(shim.events) == len(from_path.events)
 
     def test_unsupported_source_raises(self):
         with pytest.raises(TypeError, match="cannot load"):

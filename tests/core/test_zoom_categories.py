@@ -36,7 +36,7 @@ def run_data():
     ]
     graph = TaskGraph(tasks)
     client, _ = drive_instrumented(env, run, graph, optimize=False)
-    return RunData.from_live(run, client)
+    return RunData.load(run, client=client)
 
 
 class TestZoom:
@@ -113,7 +113,8 @@ class TestCategoryProfile:
             ])
             client, _ = drive_instrumented(env, run, graph,
                                            optimize=False)
-            views.append(AnalysisSession.of(RunData.from_live(run, client)).task_view())
+            data = RunData.load(run, client=client)
+            views.append(AnalysisSession.of(data).task_view())
         table = category_across_runs(views)
         row = table.row(0)
         assert row["category"] == "work"

@@ -81,7 +81,7 @@ class TestProvenance:
 
     def test_provenance_explicit_key(self, capsys, persisted_run):
         from repro.core import AnalysisSession, RunData
-        data = RunData.from_directory(persisted_run)
+        data = RunData.load(persisted_run)
         key = AnalysisSession.of(data).task_view()["key"][0]
         assert main(["provenance", persisted_run, "--key", key]) == 0
         out = capsys.readouterr().out

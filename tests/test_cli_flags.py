@@ -2,18 +2,27 @@
 
 Every reporting subcommand shares one parent parser, so ``--out`` and
 ``--format`` parse identically everywhere: the analysis commands over
-persisted runs, the data-lake commands (``ingest``/``query``/
-``serve``), and the workflow-output commands (``faults``/``metrics``/
-``trace``/``sanitize``).  ``run --workers`` is the only fan-out flag.
+persisted runs and the workflow-output commands (``faults``/
+``metrics``/``trace``/``sanitize``).  ``run --workers`` is the only
+fan-out flag.
 """
+
+import argparse
 
 import pytest
 
 from repro.cli import build_parser
 
-#: Subcommands that read persisted runs or a catalog.
+#: The whole subcommand surface: adding or removing a command is a
+#: deliberate change to this set.
+SUBCOMMANDS = {"run", "analyze", "provenance", "compare", "figures",
+               "zoom", "report", "dataplane", "lint", "sanitize",
+               "faults", "trace", "metrics", "list-workflows",
+               "experiments"}
+
+#: Subcommands that read persisted runs.
 ANALYSIS_COMMANDS = ("analyze", "compare", "figures", "zoom", "report",
-                     "ingest", "query", "serve", "dataplane")
+                     "dataplane")
 
 #: Subcommands that run a workflow and report on it.
 OUTPUT_COMMANDS = ("faults", "metrics", "trace", "sanitize")
@@ -24,9 +33,6 @@ POSITIONAL = {
     "figures": ["some/run"],
     "zoom": ["some/run"],
     "report": ["some/run"],
-    "ingest": ["some/lake", "some/runs"],
-    "query": ["some/lake", "/runs"],
-    "serve": ["some/lake"],
     "dataplane": ["some/run"],
     "faults": ["imageprocessing"],
     "metrics": ["imageprocessing"],
@@ -97,3 +103,12 @@ class TestSharedOutputFlags:
             build_parser().parse_args(
                 [command, *POSITIONAL[command], "--format", "xml"])
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestSubcommandSurface:
+    def test_subcommand_set_is_exact(self):
+        parser = build_parser()
+        (subparsers,) = [action for action in parser._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == SUBCOMMANDS
+        assert set(ANALYSIS_COMMANDS) | set(OUTPUT_COMMANDS) <= SUBCOMMANDS

@@ -1,6 +1,8 @@
 """Package-level checks: imports, version, public API coherence."""
 
 import importlib
+import pathlib
+import re
 
 import pytest
 
@@ -12,8 +14,15 @@ SUBPACKAGES = [
 
 
 def test_version():
+    """The package, its metadata and its citation name one version."""
     import repro
     assert repro.__version__
+    root = pathlib.Path(__file__).resolve().parents[1]
+    for name, pattern in (("pyproject.toml", r'^version = "([^"]+)"$'),
+                          ("CITATION.cff", r"^version: (\S+)$")):
+        text = (root / name).read_text(encoding="utf-8")
+        found = re.findall(pattern, text, flags=re.MULTILINE)
+        assert found == [repro.__version__], name
 
 
 @pytest.mark.parametrize("name", SUBPACKAGES)
