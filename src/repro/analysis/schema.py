@@ -62,7 +62,7 @@ _record_fields_cache: Optional[dict[str, frozenset[str]]] = None
 
 def record_fields() -> dict[str, frozenset[str]]:
     """Dataclass name → field names, for ``asdict(record)`` and
-    ``record_dict(record)`` payloads."""
+    ``vars(record)`` payloads."""
     global _record_fields_cache
     if _record_fields_cache is None:
         from ..dasklike import records as record_module
@@ -129,8 +129,8 @@ def _annotation_name(annotation: Optional[ast.AST]) -> str:
 
 
 #: Calls that flatten a record dataclass into its fields:
-#: ``dataclasses.asdict`` and :func:`repro.dasklike.records.record_dict`.
-_RECORD_FLATTENERS = frozenset({"asdict", "record_dict"})
+#: ``dataclasses.asdict`` and ``vars``, the record's own field dict.
+_RECORD_FLATTENERS = frozenset({"asdict", "vars"})
 
 
 def _resolve_payload(payload: ast.AST,
@@ -138,7 +138,7 @@ def _resolve_payload(payload: ast.AST,
     """Statically determine the metadata keys a payload supplies."""
     if isinstance(payload, ast.Dict):
         return _literal_keys(payload)
-    # asdict(record) or record_dict(record) where ``record`` is an
+    # asdict(record) or vars(record) where ``record`` is an
     # annotated parameter of the enclosing function and the annotation
     # names a known dataclass.
     if isinstance(payload, ast.Call) and payload.args and \
@@ -215,7 +215,7 @@ def _emission_sites(module: ModuleSource):
                 yield (node, "prov-untyped-emission",
                        f"_push({type_arg.value!r}, ...) payload is not a "
                        f"dict literal or a resolvable asdict(record) or "
-                       f"record_dict(record)")
+                       f"vars(record)")
             else:
                 yield from _check_type(node, type_arg.value, supplied)
 

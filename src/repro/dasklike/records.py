@@ -11,31 +11,10 @@ that make records from different sources joinable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 __all__ = ["TaskRun", "CommRecord", "WarningRecord", "LogEntry",
-           "SpillRecord", "StealEvent", "record_dict"]
-
-#: Field-name tuples per record class, resolved once.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
-
-
-def record_dict(record) -> dict:
-    """A flat record dataclass as a fresh dict of its fields.
-
-    Equal to ``dataclasses.asdict(record)`` in values and key order
-    (declaration order) for records whose fields are scalars, as every
-    record here and :class:`~repro.dasklike.states.TransitionRecord`
-    are.  ``asdict`` recurses and deep-copies every value; this is one
-    shallow ``getattr`` walk over a field tuple cached per class.  The
-    provenance plugins, live ingest and ``logs.jsonl`` rendering call
-    it once per record.
-    """
-    cls = type(record)
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
-    return {name: getattr(record, name) for name in names}
+           "SpillRecord", "StealEvent"]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .records import (
     TaskRun,
     WarningRecord,
 )
-from .states import TransitionRecord
+from .states import TransitionRecord, make_transition_record
 from .taskgraph import TaskSpec
 
 __all__ = ["Worker", "PassthroughIO", "DataLostError"]
@@ -306,11 +306,9 @@ class Worker:
     # ------------------------------------------------------------------
     def _transition(self, spec: TaskSpec, start: str, finish: str,
                     stimulus: str) -> None:
-        record = TransitionRecord(
-            key=spec.name, group=spec.group, prefix=spec.prefix,
-            start_state=start, finish_state=finish,
-            timestamp=self.env.now, stimulus=stimulus,
-            worker=self.address, source=self.address,
+        record = make_transition_record(
+            spec.name, spec.group, spec.prefix, start, finish,
+            self.env.now, stimulus, self.address, self.address,
         )
         self.transitions.append(record)
         for plugin in self.plugins:

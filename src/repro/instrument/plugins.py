@@ -35,7 +35,6 @@ from ..dasklike.records import (
     StealEvent,
     TaskRun,
     WarningRecord,
-    record_dict,
 )
 from ..dasklike.states import TransitionRecord
 from ..mofka import Producer
@@ -71,7 +70,17 @@ class BasePlugin:
 
 
 class _MofkaPluginBase(BasePlugin):
-    """Shared event-shaping logic for both plugins."""
+    """Shared event-shaping logic for both plugins.
+
+    Each event is one dict, built by :meth:`_push` and kept by the
+    broker as it is.  Record hooks pass ``vars(record)`` uncopied: a
+    frozen record's ``__dict__`` holds exactly its fields in
+    declaration order (the generated ``__init__`` and
+    :func:`~repro.dasklike.states.make_transition_record` both set
+    them in that order), so the event equals
+    ``{"type", "plugin_source", **asdict(record)}`` in values and key
+    order.
+    """
 
     def __init__(self, producer: Producer, source: str):
         self.producer = producer
@@ -79,8 +88,8 @@ class _MofkaPluginBase(BasePlugin):
         self.n_events = 0
 
     def _push(self, event_type: str, payload: dict) -> None:
-        metadata = {"type": event_type, "plugin_source": self.source}
-        metadata.update(payload)
+        metadata = {"type": event_type, "plugin_source": self.source,
+                    **payload}
         # Generic funnel: schema conformance is checked at the typed
         # _push() call sites, not here.
         self.producer.push(metadata)  # repro: allow[prov-untyped-emission, flow-unresolved-emission]
@@ -97,10 +106,10 @@ class MofkaSchedulerPlugin(_MofkaPluginBase):
         scheduler.plugins.append(self)
 
     def transition(self, record: TransitionRecord) -> None:
-        self._push("transition", record_dict(record))
+        self._push("transition", vars(record))
 
     def steal(self, record: StealEvent) -> None:
-        self._push("steal", record_dict(record))
+        self._push("steal", vars(record))
 
     def task_added(self, *, key: str, group: str, prefix: str,
                    deps: list, graph_index: int, timestamp: float) -> None:
@@ -120,16 +129,16 @@ class MofkaWorkerPlugin(_MofkaPluginBase):
         worker.plugins.append(self)
 
     def transition(self, record: TransitionRecord) -> None:
-        self._push("transition", record_dict(record))
+        self._push("transition", vars(record))
 
     def task_finished(self, record: TaskRun) -> None:
-        self._push("task_run", record_dict(record))
+        self._push("task_run", vars(record))
 
     def communication(self, record: CommRecord) -> None:
-        self._push("communication", record_dict(record))
+        self._push("communication", vars(record))
 
     def warning(self, record: WarningRecord) -> None:
-        self._push("warning", record_dict(record))
+        self._push("warning", vars(record))
 
     def spill_moved(self, record: SpillRecord) -> None:
-        self._push("spill", record_dict(record))
+        self._push("spill", vars(record))

@@ -35,7 +35,6 @@ from typing import Optional
 
 from ..darshan import DEFAULT_BUFFER_LIMIT, DarshanRuntime, write_log
 from ..dasklike import DaskCluster, DaskConfig
-from ..dasklike.records import record_dict
 from ..jobs import Job
 from ..mofka import BedrockConfig, Producer, bootstrap
 from ..platform import Cluster
@@ -215,7 +214,7 @@ class InstrumentedRun:
             logs = sorted(logs + client.logs, key=lambda e: e.time)
         with open(os.path.join(run_dir, "logs.jsonl"), "w") as fh:
             for entry in logs:
-                fh.write(json.dumps(record_dict(entry)) + "\n")
+                fh.write(json.dumps(vars(entry)) + "\n")
 
         # Mofka streams.
         self.mofka.dump(os.path.join(run_dir, "mofka"))

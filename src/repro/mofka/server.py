@@ -89,9 +89,10 @@ class MofkaService:
                       counter: int = 0):
         """Simulation process: ingest one producer batch.
 
-        Returns the list of stored events.  Service time models the RPC
-        plus ingest bandwidth, so large batches amortise the round trip
-        (the batching trade-off the A3 ablation sweeps).
+        Stores each pushed metadata dict as it is and returns nothing.
+        Service time models the RPC plus ingest bandwidth, so large
+        batches amortise the round trip (the batching trade-off the A3
+        ablation sweeps).
         """
         topic = self.topic(topic_name)
         nbytes = sum(
@@ -110,15 +111,13 @@ class MofkaService:
         yield self.env.timeout(
             self.RPC_LATENCY + nbytes / self.INGEST_BANDWIDTH
         )
-        events = []
+        partitions = topic.partitions
+        now = self.env.now
         for index, (metadata, data) in zip(indexes, batch):
-            events.append(topic.partitions[index].append(
-                metadata, data, timestamp=self.env.now,
-            ))
+            partitions[index].append(metadata, data, now)
         self.n_produce_rpcs += 1
         self.n_events += len(batch)
         self.bytes_ingested += nbytes
-        return events
 
     def fetch(self, topic_name: str, partition: int, start: int,
               max_events: int = 1024):

@@ -4,7 +4,9 @@
 servers" (§III-B).  A topic is a set of partitions; each partition is
 an ordered, persistent event log.  A live partition keeps each event's
 metadata dict exactly as the producer pushed it, and its payload in a
-:class:`~repro.mofka.warabi.WarabiStore`.  The metadata is JSON-encoded
+:class:`~repro.mofka.warabi.WarabiStore`; appending builds no
+:class:`~repro.mofka.event.Event`, only :meth:`Partition.read` does,
+for consumers that ask for one.  The metadata is JSON-encoded
 only when the partition is persisted: :meth:`Partition.dump` writes it
 as a :class:`~repro.mofka.yokan.YokanStore` (keyed by zero-padded
 offset, so prefix scans return events in order, values JSON with sorted
@@ -42,25 +44,32 @@ class Partition:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def append(self, metadata: dict, data: bytes, timestamp: float) -> Event:
+    def append(self, metadata: dict, data: bytes, timestamp: float) -> int:
+        """Store one event; returns its offset."""
         offset = len(self._entries)
         region = self.data_store.create(data)
         self._entries.append((timestamp, metadata, region))
-        return Event(
-            topic=self.topic, partition=self.index, offset=offset,
-            timestamp=timestamp, metadata=metadata, data=data,
-        )
+        return offset
 
     def read(self, offset: int) -> Event:
+        """The event at ``offset``, as a fresh :class:`Event`.
+
+        Built by filling ``__dict__``, not through the frozen
+        ``__init__`` and its one ``object.__setattr__`` per field: the
+        directory reload calls this once per row.  The result equals
+        ``Event(...)`` in every field and in ``nbytes``.
+        """
         if not 0 <= offset < len(self._entries):
             raise KeyError(f"{self.topic}.{self.index}: no event at "
                            f"offset {offset}")
         timestamp, metadata, region = self._entries[offset]
-        return Event(
-            topic=self.topic, partition=self.index, offset=offset,
-            timestamp=timestamp, metadata=metadata,
-            data=self.data_store.read(region),
-        )
+        event = object.__new__(Event)
+        object.__setattr__(event, "__dict__", {
+            "topic": self.topic, "partition": self.index,
+            "offset": offset, "timestamp": timestamp,
+            "metadata": metadata, "data": self.data_store.read(region),
+        })
+        return event
 
     def read_range(self, start: int, stop: Optional[int] = None
                    ) -> Iterator[Event]:

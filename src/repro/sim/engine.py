@@ -277,7 +277,15 @@ class Initialize(Event):
 
 
 class Process(Event):
-    """A running generator; also an event that fires when it finishes."""
+    """A running generator; also an event that fires when it finishes.
+
+    A finished process drops its cached resume callback, the one
+    reference cycle it holds (process -> bound method -> process).  So
+    once a process has returned, reference counting frees it, its
+    generator and its value as soon as nothing else refers to it,
+    without waiting for the cyclic GC.  (One that raised stays in its
+    exception's traceback cycle.)
+    """
 
     __slots__ = ("_generator", "name", "_target", "_resume_cb")
 
@@ -291,7 +299,8 @@ class Process(Event):
         self._target: Optional[Event] = None
         #: The bound ``_resume`` method, created once — it is appended
         #: to a callback list on every wait, and binding it per yield
-        #: would allocate a fresh method object each time.
+        #: would allocate a fresh method object each time.  ``None``
+        #: once the process has finished.
         self._resume_cb = self._resume
         if not _defer_start:
             Initialize(env, self)
@@ -301,25 +310,33 @@ class Process(Event):
         return not self.triggered
 
     def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
+        """Throw :class:`Interrupt` into the process at the current time.
+
+        The interrupt is delivered by a priority ``-1`` event, after
+        any same-instant start of the process.  A process that has
+        finished by then (say, on an earlier interrupt of the same
+        instant) ignores it.
+        """
         if self.triggered:
             raise SimulationError("cannot interrupt a finished process")
-        if self._target is self.env._active_until:
+        if self is self.env._active_process:
             raise SimulationError("a process cannot interrupt itself")
         event = Event(self.env)
         event._ok = False
         event._value = Interrupt(cause)
         event._defused = True
-        event.callbacks.append(self._resume_cb)
+        event.callbacks.append(self._deliver_interrupt)
         self.env._schedule(event, delay=0.0, priority=-1)
-        # Detach from the old target: when the old event fires we must not
-        # resume a second time.
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._target = None
+
+    def _deliver_interrupt(self, event: Event) -> None:
+        if self._value is not PENDING:
+            return
+        # Detach from the event the process waits on now, so that it
+        # is not resumed a second time when that event fires.
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            target.callbacks.remove(self._resume_cb)
+        self._resume(event)
 
     def _resume(self, event: Event) -> None:
         env = self.env
@@ -335,6 +352,7 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
+                self._resume_cb = None
                 env._seq = seq = env._seq + 1
                 env._fast0.append((env._now, 0, seq, self))
                 if env.monitor is not None:
@@ -344,6 +362,7 @@ class Process(Event):
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
+                self._resume_cb = None
                 env._seq = seq = env._seq + 1
                 env._fast0.append((env._now, 0, seq, self))
                 if env.monitor is not None:
@@ -490,13 +509,6 @@ class Environment:
         #: ``on_schedule``/``on_step``/``before_callback`` calls; the
         #: hot path pays a single ``is None`` check otherwise.
         self.monitor: Optional[Any] = None
-
-    # Target event of the currently executing process (used to detect
-    # self-interrupts).
-    @property
-    def _active_until(self) -> Optional[Event]:
-        proc = self._active_process
-        return proc._target if proc is not None else None
 
     @property
     def now(self) -> float:

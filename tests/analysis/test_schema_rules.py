@@ -96,7 +96,7 @@ class TestEmissionSites:
 #: annotation, with the import each fixture needs.
 FLATTENERS = {
     "asdict": "from dataclasses import asdict",
-    "record_dict": "from repro.dasklike.records import record_dict",
+    "vars": "",
 }
 
 

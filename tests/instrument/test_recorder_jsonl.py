@@ -1,15 +1,19 @@
-"""Regression: ``record_dict`` is ``asdict`` without the deep copy.
+"""Regression: ``vars(record)`` is ``asdict`` without the deep copy.
 
 ``persist`` used to render each log entry with ``json.dumps(asdict(...))``
 and the Mofka plugins shaped every provenance event with ``asdict``,
-which recursively deep-copies every row.  The shallow ``record_dict``
-must give the same dict with the same key order, so that neither
-``logs.jsonl`` nor the event stream changes by a single byte.
+which recursively deep-copies every row.  A frozen record dataclass's
+own ``__dict__`` holds exactly its fields in declaration order, so
+``vars(record)`` must equal ``asdict(record)`` with the same key order,
+and neither ``logs.jsonl`` nor the event stream changes by a single
+byte.
 """
 
 import dataclasses
 import json
 from dataclasses import asdict
+
+import pytest
 
 from repro.dasklike import records
 from repro.dasklike.records import (
@@ -19,9 +23,9 @@ from repro.dasklike.records import (
     StealEvent,
     TaskRun,
     WarningRecord,
-    record_dict,
 )
 from repro.dasklike.states import TransitionRecord, make_transition_record
+from repro.instrument.plugins import MofkaSchedulerPlugin, MofkaWorkerPlugin
 
 ENTRIES = [
     LogEntry(source="scheduler", time=0.0, level="INFO",
@@ -33,7 +37,8 @@ ENTRIES = [
     LogEntry(source="worker", time=float(10**20), level="INFO", message=""),
 ]
 
-#: One instance of every record dataclass the run path flattens.
+#: One instance of every record dataclass the run path flattens, and a
+#: TransitionRecord from each of its two constructors.
 SAMPLES = [
     TransitionRecord(key="('load-ab12', 3)", group="('load-ab12', 3)",
                      prefix="load", start_state="waiting",
@@ -64,17 +69,15 @@ SAMPLES = [
 
 def test_lines_byte_identical_to_asdict_form():
     for entry in ENTRIES:
-        assert json.dumps(record_dict(entry)) == json.dumps(asdict(entry))
+        assert json.dumps(vars(entry)) == json.dumps(asdict(entry))
 
 
 def test_other_flat_record_types_supported():
     for record in SAMPLES:
-        flat = record_dict(record)
+        flat = vars(record)
         reference = asdict(record)
         assert flat == reference
         assert list(flat) == list(reference)
-        # A fresh dict per call: the broker keeps what the plugins push.
-        assert record_dict(record) is not flat
 
 
 def test_samples_cover_every_record_dataclass():
@@ -84,20 +87,51 @@ def test_samples_cover_every_record_dataclass():
         TransitionRecord}
 
 
-def test_field_cache_reused_across_calls():
-    record_dict(ENTRIES[0])
-    assert LogEntry in records._FIELD_NAMES
-    names = records._FIELD_NAMES[LogEntry]
-    record_dict(ENTRIES[1])
-    assert records._FIELD_NAMES[LogEntry] is names
-    assert names == ("source", "time", "level", "message")
+class _Producer:
+    def __init__(self):
+        self.pushed = []
+
+    def push(self, metadata):
+        self.pushed.append(metadata)
+
+
+#: (plugin class, hook, event type it pushes, record).
+HOOKS = [
+    (MofkaSchedulerPlugin, "transition", "transition", SAMPLES[0]),
+    (MofkaSchedulerPlugin, "steal", "steal", SAMPLES[7]),
+    (MofkaWorkerPlugin, "transition", "transition", SAMPLES[1]),
+    (MofkaWorkerPlugin, "task_finished", "task_run", SAMPLES[2]),
+    (MofkaWorkerPlugin, "communication", "communication", SAMPLES[3]),
+    (MofkaWorkerPlugin, "warning", "warning", SAMPLES[4]),
+    (MofkaWorkerPlugin, "spill_moved", "spill", SAMPLES[6]),
+]
+
+
+@pytest.mark.parametrize("plugin_cls,hook,event_type,record", HOOKS,
+                         ids=[f"{c.__name__}.{h}" for c, h, _, _ in HOOKS])
+def test_plugin_hook_pushes_one_fresh_dict(plugin_cls, hook, event_type,
+                                           record):
+    producer = _Producer()
+    if plugin_cls is MofkaWorkerPlugin:
+        plugin = plugin_cls(producer, "10.0.0.2:40001")
+    else:
+        plugin = plugin_cls(producer)
+    getattr(plugin, hook)(record)
+    [metadata] = producer.pushed
+    expected = {"type": event_type, "plugin_source": plugin.source,
+                **asdict(record)}
+    assert metadata == expected
+    assert list(metadata) == list(expected)
+    # The broker keeps what is pushed: never the record's own dict.
+    assert metadata is not vars(record)
+    assert vars(record) == asdict(record)
 
 
 def test_jsonl_round_trips(tmp_path):
     path = tmp_path / "logs.jsonl"
     with open(path, "w") as fh:
         for entry in ENTRIES:
-            fh.write(json.dumps(record_dict(entry)) + "\n")
+            fh.write(json.dumps(vars(entry)) + "\n")
     with open(path) as fh:
         parsed = [json.loads(line) for line in fh]
     assert parsed == [asdict(entry) for entry in ENTRIES]

@@ -1,10 +1,13 @@
 """Tests for topics, producer batching, consumers, SSG, and Bedrock."""
 
+import dataclasses
+
 import pytest
 
 from repro.mofka import (
     BedrockConfig,
     Consumer,
+    Event,
     MofkaService,
     Producer,
     SSGGroup,
@@ -23,12 +26,29 @@ def make_service(env, n_partitions=2):
 class TestTopic:
     def test_append_and_read(self):
         topic = Topic("t", 2)
-        event = topic.partitions[0].append({"k": 1}, b"payload", 0.5)
-        assert event.offset == 0
+        assert topic.partitions[0].append({"k": 1}, b"payload", 0.5) == 0
+        assert topic.partitions[0].append({"k": 2}, b"", 0.75) == 1
         back = topic.partitions[0].read(0)
         assert back.metadata == {"k": 1}
         assert back.data == b"payload"
         assert back.timestamp == 0.5
+
+    def test_read_equals_a_constructed_event(self):
+        part = Topic("t", 4).partitions[3]
+        metadata = {"type": "task_run", "key": "('x', 1)", "n": [1, 2]}
+        part.append({"k": 0}, b"", 0.25)
+        part.append(metadata, b"\x00payload", 3.5)
+        got = part.read(1)
+        want = Event(topic="t", partition=3, offset=1, timestamp=3.5,
+                     metadata=metadata, data=b"\x00payload")
+        assert type(got) is Event
+        assert got == want
+        for field in dataclasses.fields(Event):
+            assert getattr(got, field.name) == getattr(want, field.name)
+        assert got.metadata is metadata
+        assert got.nbytes == want.nbytes
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            got.offset = 0
 
     def test_events_globally_ordered_by_time(self):
         topic = Topic("t", 2)

@@ -1,5 +1,8 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -244,6 +247,131 @@ def test_interrupt_finished_process_rejected():
     target = env.process(quick())
     env.process(late(target))
     env.run()
+
+
+def _sleeper(env, log):
+    try:
+        yield env.timeout(10.0)
+    except Interrupt as exc:
+        log.append((env.now, exc.cause))
+
+
+def test_interrupt_before_start_from_outside_any_process():
+    env = Environment()
+    log = []
+    victim = env.process(_sleeper(env, log))
+    victim.interrupt("early")
+    env.run()
+    assert log == [(0.0, "early")]
+    assert victim.ok
+
+
+def test_interrupt_before_start_from_a_process_in_its_first_step():
+    env = Environment()
+    log = []
+
+    def spawner():
+        victim = env.process(_sleeper(env, log))
+        victim.interrupt("first-step")
+        yield env.timeout(1.0)
+
+    env.run(until=env.process(spawner()))
+    assert log == [(0.0, "first-step")]
+
+
+def test_interrupt_between_processes_sharing_a_wait_target():
+    env = Environment()
+    gate = env.event()
+    log = []
+
+    def first():
+        yield gate
+        second_proc.interrupt("from-first")
+
+    def second():
+        yield gate
+        yield from _sleeper(env, log)
+
+    def opener():
+        yield env.timeout(1.0)
+        gate.succeed()
+
+    env.process(first())
+    second_proc = env.process(second())
+    env.process(opener())
+    env.run()
+    assert log == [(1.0, "from-first")]
+    assert second_proc.ok
+
+
+def test_second_interrupt_of_an_instant_skips_a_finished_process():
+    env = Environment()
+    log = []
+    victim = env.process(_sleeper(env, log))
+
+    def interrupter():
+        yield env.timeout(1.0)
+        victim.interrupt("first")
+        victim.interrupt("second")
+
+    env.process(interrupter())
+    env.run()
+    assert log == [(1.0, "first")]
+    assert victim.ok
+
+
+def test_second_interrupt_of_an_instant_reaches_the_new_wait():
+    env = Environment()
+    log = []
+
+    def victim_body():
+        for _ in range(2):
+            try:
+                yield env.timeout(10.0)
+            except Interrupt as exc:
+                log.append((env.now, exc.cause))
+        return env.now
+
+    victim = env.process(victim_body())
+
+    def interrupter():
+        yield env.timeout(1.0)
+        victim.interrupt("first")
+        victim.interrupt("second")
+
+    env.process(interrupter())
+    env.run()
+    assert log == [(1.0, "first"), (1.0, "second")]
+    assert victim.value == 1.0
+
+
+def test_returned_process_is_freed_by_reference_counting():
+    """A process that returned holds no reference cycle, so it, its
+    generator and its value go as soon as the last outside reference
+    does."""
+
+    class Value:
+        pass
+
+    gc.disable()
+    try:
+        env = Environment()
+
+        def body():
+            yield env.timeout(1.0)
+            return Value()
+
+        generator = body()
+        generator_ref = weakref.ref(generator)
+        proc = env.process(generator)
+        del generator
+        env.run()
+        value_ref = weakref.ref(proc.value)
+        del proc
+        assert generator_ref() is None
+        assert value_ref() is None
+    finally:
+        gc.enable()
 
 
 def test_deadlock_detected_when_waiting_on_unreachable_event():

@@ -1,6 +1,7 @@
 """Tests for the three evaluation workflows and the runner."""
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from repro.core import (
     longest_categories,
     oversized_tasks,
 )
+from repro.mofka import Event
+from repro.mofka.topic import Partition
 from repro.workflows import (
     ImageProcessingWorkflow,
     ResNet152Workflow,
@@ -198,3 +201,29 @@ class TestRunner:
         a = run_workflow(ImageProcessingWorkflow(scale=0.04), seed=9)
         b = run_workflow(ImageProcessingWorkflow(scale=0.04), seed=9)
         assert a.wall_time == b.wall_time
+
+    @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
+                                         ResNet152Workflow,
+                                         XGBoostWorkflow])
+    def test_live_run_builds_no_mofka_event(self, factory, monkeypatch):
+        """The live path keeps each provenance event as the one dict
+        the plugin pushed: appending stores it and returns its offset,
+        and the live load reads the stored dicts."""
+        built = Counter()
+        init = Event.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built["Event.__init__"] += 1
+            init(self, *args, **kwargs)
+
+        read = Partition.read
+
+        def counting_read(self, offset):
+            built["Partition.read"] += 1
+            return read(self, offset)
+
+        monkeypatch.setattr(Event, "__init__", counting_init)
+        monkeypatch.setattr(Partition, "read", counting_read)
+        result = run_workflow(factory(scale=0.03), seed=2)
+        assert len(result.data.events) > 1000
+        assert built == Counter()
