@@ -59,6 +59,7 @@ sys.path.insert(
 from repro.dasklike import DaskCluster, DaskConfig, TaskGraph, TaskSpec  # noqa: E402
 from repro.dasklike.taskgraph import fuse_linear_chains  # noqa: E402
 from repro.dasklike.states import key_str  # noqa: E402
+from repro.instrument.plugins import BasePlugin  # noqa: E402
 from repro.jobs import BatchSystem, JobSpec  # noqa: E402
 from repro.platform import Cluster, ClusterSpec  # noqa: E402
 from repro.sim import Environment, RandomStreams  # noqa: E402
@@ -209,6 +210,16 @@ SCHED_ENTRY_POINTS = ("update_graph", "task_finished", "task_erred",
                       "handle_worker_failure")
 
 
+class TransitionCounter(BasePlugin):
+    """Counts the transitions the scheduler hands its plugins."""
+
+    def __init__(self):
+        self.count = 0
+
+    def transition(self, record):
+        self.count += 1
+
+
 def instrument_scheduler(dask):
     """Wrap scheduler entry points with a wall-clock accumulator."""
     clock = {"seconds": 0.0}
@@ -286,6 +297,8 @@ def _run_cell_inner(n_workers, n_roots, depth, config, legacy, fused, seed):
     if legacy:
         apply_legacy(dask)
     clock = instrument_scheduler(dask)
+    counter = TransitionCounter()
+    dask.scheduler.plugins.append(counter)
     if config.work_stealing:
         dask.stealing.start()
     graph = chain_graph(f"{n_workers:05d}{depth:03d}", n_roots, depth)
@@ -300,10 +313,11 @@ def _run_cell_inner(n_workers, n_roots, depth, config, legacy, fused, seed):
             yield sched.wanted_event(name)
         return index
 
-    # Collector pauses over the (large, growing) record lists would
-    # land inside the instrumented entry points and swamp the
-    # per-transition signal; nothing in the drive loop creates cycles
-    # that need collecting mid-run.
+    # Collector pauses over the growing task table (one
+    # SchedulerTaskState and its containers per task) would land inside
+    # the instrumented entry points and swamp the per-transition signal;
+    # nothing in the drive loop creates cycles that need collecting
+    # mid-run.
     gc.collect()
     gc.disable()
     try:
@@ -315,7 +329,7 @@ def _run_cell_inner(n_workers, n_roots, depth, config, legacy, fused, seed):
     dask.stealing.stop()
 
     n_tasks = len(graph)
-    transitions = len(sched.transitions)
+    transitions = counter.count
     sched_seconds = max(clock["seconds"], 1e-9)
     return {
         "workers": n_workers,

@@ -155,12 +155,6 @@ class Project:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def module_for(self, path: str) -> Optional[ModuleSource]:
-        for module in self.modules:
-            if module.path == path:
-                return module
-        return None
-
     def reachable_from(self, roots: Iterable[str]) -> set[str]:
         """Transitive closure of qualnames over the call graph."""
         seen: set[str] = set()
@@ -233,8 +227,3 @@ class Project:
         """Qualnames reachable from the per-event process roots."""
         return self.reachable_from(
             info.qualname for info in self.event_roots())
-
-    def loop_reachable(self) -> set[str]:
-        """Qualnames reachable from the interval loop drivers."""
-        return self.reachable_from(
-            info.qualname for info in self.loop_drivers())

@@ -207,10 +207,6 @@ class DictKeyFlow:
         """Known dict state of ``name`` just before ``use`` executes."""
         return self.env_at(use).get(name)
 
-    def keys_at(self, name: str, use: ast.AST) -> Optional[set[str]]:
-        state = self.state_at(name, use)
-        return set(state.keys) if state is not None else None
-
     def eval_at(self, expr: ast.AST, use: ast.AST) -> Optional[DictState]:
         """Dict state of an inline expression (e.g. ``{**base, ...}``)."""
         return self._eval(expr, self.env_at(use))

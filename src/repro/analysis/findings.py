@@ -103,12 +103,6 @@ class LintReport:
     def exit_code(self) -> int:
         return EXIT_FINDINGS if self.active else EXIT_CLEAN
 
-    def by_rule(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for finding in self.active:
-            counts[finding.rule] = counts.get(finding.rule, 0) + 1
-        return dict(sorted(counts.items()))
-
     # -- rendering -----------------------------------------------------
     def render_text(self, verbose: bool = False) -> str:
         lines = []

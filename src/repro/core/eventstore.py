@@ -95,10 +95,6 @@ class EventStore:
             self._partitions = dict(partitions)
         return self._partitions
 
-    def event_types(self) -> list[str]:
-        """All event types present, sorted for determinism."""
-        return sorted(t for t in self._partition() if t is not None)
-
     def records(self, event_type: str) -> list[dict]:
         """The raw records of one type, in stream order (cached list)."""
         return self._partition().get(event_type, [])

@@ -84,10 +84,6 @@ class DarshanRuntime:
 
     # -- introspection ----------------------------------------------------
     @property
-    def n_records(self) -> int:
-        return len(self._posix)
-
-    @property
     def dxt_truncated(self) -> bool:
         return self._dxt.truncated
 

@@ -17,6 +17,7 @@ from ..platform import Cluster
 from ..sim import Environment, RandomStreams
 from .client import Client
 from .config import DaskConfig
+from .records import LogEntry
 from .scheduler import Scheduler
 from .stealing import WorkStealing
 from .worker import PassthroughIO, Worker
@@ -88,24 +89,15 @@ class DaskCluster:
     def client(self, name: str = "client") -> Client:
         return Client(self.env, self.scheduler, self.config, name=name)
 
-    # -- aggregation across workers (used by the instrumentation) --------
-    def all_task_runs(self):
-        return [run for w in self.workers for run in w.task_runs]
+    def all_logs(self, client: Optional[Client] = None) -> list[LogEntry]:
+        """Scheduler, worker and (when given) client log entries by time.
 
-    def all_comms(self):
-        return [c for w in self.workers for c in w.comms]
-
-    def all_warnings(self):
-        return [w for worker in self.workers for w in worker.warnings]
-
-    def all_logs(self):
+        One stable sort: entries with equal times keep the order
+        scheduler, workers in deployment order, client.
+        """
         logs = list(self.scheduler.logs)
         for worker in self.workers:
             logs.extend(worker.logs)
+        if client is not None:
+            logs.extend(client.logs)
         return sorted(logs, key=lambda entry: entry.time)
-
-    def all_transitions(self):
-        records = list(self.scheduler.transitions)
-        for worker in self.workers:
-            records.extend(worker.transitions)
-        return sorted(records, key=lambda r: r.timestamp)

@@ -28,12 +28,11 @@ from typing import Optional
 from ..platform import Node
 from ..sim import Environment, RandomStreams
 from .config import DaskConfig
-from .records import LogEntry, StealEvent
+from .records import LogEntry
 from .scheduler_state import OccupancyIndex
 from .states import (
     ACTIVE_SCHEDULER_STATES,
     SCHEDULER_TRANSITIONS,
-    TransitionRecord,
     key_str,
     make_transition_record,
     validate_transition,
@@ -132,9 +131,9 @@ class Scheduler:
         #: scheduler transfer model.
         self.proxy_store = None
 
-        self.transitions: list[TransitionRecord] = []
+        #: Only the text log is kept: every transition and steal record
+        #: is handed to ``plugins`` and not kept here.
         self.logs: list[LogEntry] = []
-        self.steal_events: list[StealEvent] = []
         self.plugins: list = []
 
         #: Events fired when a wanted key reaches memory (client waits).
@@ -435,7 +434,6 @@ class Scheduler:
             processing_on.address if processing_on is not None else None,
             "scheduler",
         )
-        self.transitions.append(record)
         if self.plugins:
             for plugin in self.plugins:
                 plugin.transition(record)

@@ -116,7 +116,6 @@ class WorkStealing:
             victim_occupancy=sched.occupancy[victim.address],
             thief_occupancy=sched.occupancy[thief.address],
         )
-        sched.steal_events.append(event)
         for plugin in sched.plugins:
             plugin.steal(event)
         sched.log("INFO", f"Moving {name} from {victim.address} "

@@ -100,9 +100,6 @@ class TaskSpec:
         """Canonical string forms of ``deps``, in the same order."""
         return tuple(key_str(dep) for dep in self.deps)
 
-    def with_key(self, key) -> "TaskSpec":
-        return replace(self, key=key)
-
 
 class TaskGraph:
     """A validated DAG of :class:`TaskSpec` nodes."""

@@ -36,7 +36,7 @@ from .records import (
     TaskRun,
     WarningRecord,
 )
-from .states import TransitionRecord, make_transition_record
+from .states import make_transition_record
 from .taskgraph import TaskSpec
 
 __all__ = ["Worker", "PassthroughIO", "DataLostError"]
@@ -107,20 +107,15 @@ class Worker:
         self.managed_bytes = 0
         #: Results evicted to node-local scratch: key -> nbytes.
         self.spilled: dict[str, int] = {}
-        #: Every spill/unspill movement, in order.
-        self.spill_events: list[SpillRecord] = []
         self._spilling = False
 
         # Tasks queued for a thread (visible to the stealing balancer).
         self.ready: dict[str, "object"] = {}
         self.executing: set[str] = set()
 
-        # Observations.
-        self.task_runs: list[TaskRun] = []
-        self.comms: list[CommRecord] = []
-        self.warnings: list[WarningRecord] = []
+        # Observations: the text log is kept; every record is handed
+        # to the plugins and not kept here.
         self.logs: list[LogEntry] = []
-        self.transitions: list[TransitionRecord] = []
         self.plugins: list = []
 
         self.scheduler = None  # attached by the scheduler
@@ -199,7 +194,6 @@ class Worker:
             worker=self.address, hostname=self.node.name, key=key,
             nbytes=nbytes, time=self.env.now, direction=direction,
         )
-        self.spill_events.append(record)
         for plugin in self.plugins:
             plugin.spill_moved(record)
 
@@ -296,7 +290,6 @@ class Worker:
             source=self.address, hostname=self.node.name, kind=kind,
             time=self.env.now, duration=duration, message=message,
         )
-        self.warnings.append(record)
         self.log("WARNING", message)
         for plugin in self.plugins:
             plugin.warning(record)
@@ -310,7 +303,6 @@ class Worker:
             spec.name, spec.group, spec.prefix, start, finish,
             self.env.now, stimulus, self.address, self.address,
         )
-        self.transitions.append(record)
         for plugin in self.plugins:
             plugin.transition(record)
 
@@ -373,7 +365,6 @@ class Worker:
                 same_node=src.node.name == self.node.name,
                 same_switch=src.node.switch == self.node.switch,
             )
-            self.comms.append(record)
             for plugin in self.plugins:
                 plugin.communication(record)
             self.data[dep] = nbytes
@@ -690,7 +681,6 @@ class Worker:
             io_time=io_time,
             n_reads=len(spec.reads), n_writes=len(spec.writes),
         )
-        self.task_runs.append(run)
         for plugin in self.plugins:
             plugin.task_finished(run)
 

@@ -209,11 +209,8 @@ class InstrumentedRun:
             json.dump(self.job.describe(), fh, indent=2)
 
         # Free-text logs from every component.
-        logs = self.dask.all_logs()
-        if client is not None:
-            logs = sorted(logs + client.logs, key=lambda e: e.time)
         with open(os.path.join(run_dir, "logs.jsonl"), "w") as fh:
-            for entry in logs:
+            for entry in self.dask.all_logs(client):
                 fh.write(json.dumps(vars(entry)) + "\n")
 
         # Mofka streams.

@@ -74,7 +74,6 @@ class Network:
         self.nodes = nodes
         self.spec = spec or NetworkSpec()
         self.streams = streams or RandomStreams()
-        self.records: list[TransferRecord] = []
         # Fault-injection state (see repro.faults).  Inactive defaults:
         # the checks below compare env.now against 0.0 and consult an
         # empty dict, so a run without faults takes the exact same code
@@ -179,5 +178,4 @@ class Network:
             same_node=same_node,
             same_switch=src.switch == dst.switch,
         )
-        self.records.append(record)
         return record

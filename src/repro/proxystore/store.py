@@ -88,9 +88,6 @@ class Store:
     def has(self, key: str) -> bool:
         return key in self._proxies
 
-    def proxy_for(self, key: str):
-        return self._proxies.get(key)
-
     def durable(self, key: str) -> bool:
         """True when ``key`` is proxied on a backend that survives the
         crash of every replica holder (PFS, Mofka)."""

@@ -515,10 +515,6 @@ class Environment:
         """Current simulated time (seconds)."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        return self._active_process
-
     # -- monitors --------------------------------------------------------
     def add_monitor(self, monitor: Any) -> Any:
         """Attach an engine observer, composing with any existing one.
@@ -603,9 +599,6 @@ class Environment:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:

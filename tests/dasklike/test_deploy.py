@@ -7,7 +7,7 @@ from repro.jobs import BatchSystem, JobSpec
 from repro.platform import Cluster, ClusterSpec
 from repro.sim import Environment, RandomStreams
 
-from tests.helpers import make_wms, run_graphs
+from tests.helpers import ClusterRecorder, make_wms, run_graphs
 from tests.dasklike.test_integration import map_reduce_graph
 
 
@@ -60,14 +60,34 @@ class TestLayout:
 
 
 class TestAggregationHelpers:
-    def test_all_logs_sorted_and_all_transitions_sorted(self):
+    def test_all_logs_sorted_and_transitions_reported_in_time_order(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         run_graphs(env, client, map_reduce_graph(width=8,
                                                  token="de9de9de"))
         logs = dask.all_logs()
         assert [e.time for e in logs] == sorted(e.time for e in logs)
-        transitions = dask.all_transitions()
-        times = [t.timestamp for t in transitions]
-        assert times == sorted(times)
-        sources = {t.source for t in transitions}
+        # The scheduler and the workers both report transitions, each
+        # in time order.
+        reporters = [recorder.scheduler, *recorder.workers.values()]
+        for reporter in reporters:
+            times = [t.timestamp for t in reporter.transitions]
+            assert times == sorted(times)
+        sources = {t.source for reporter in reporters
+                   for t in reporter.transitions}
         assert "scheduler" in sources and len(sources) > 1
+
+    def test_all_logs_with_client_is_one_stable_merge(self):
+        """Passing the client merges its entries in the same sort: ties
+        keep scheduler, then workers, then client, which is the order
+        of sorting the cluster's logs first and the client's after."""
+        env, cluster, dask, client, job = make_wms()
+        run_graphs(env, client, map_reduce_graph(width=8,
+                                                 token="de9de9de"))
+        merged = dask.all_logs(client)
+        two_sorts = sorted(dask.all_logs() + client.logs,
+                           key=lambda entry: entry.time)
+        assert len(merged) == len(two_sorts) > len(client.logs) > 0
+        assert all(a is b for a, b in zip(merged, two_sorts))
+        times = [entry.time for entry in merged]
+        assert len(set(times)) < len(times)  # ties are exercised

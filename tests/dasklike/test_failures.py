@@ -4,7 +4,7 @@ import pytest
 
 from repro.dasklike import IOOp, TaskGraph, TaskSpec
 
-from tests.helpers import make_wms
+from tests.helpers import ClusterRecorder, make_wms
 
 
 def failing_graph(token="bad00001"):
@@ -46,10 +46,11 @@ def test_client_sees_the_original_exception():
 
 def test_failing_task_transitions_to_erred():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     run_failing(env, client, failing_graph())
     ts = dask.scheduler.tasks["broken-bad00001"]
     assert ts.state == "erred"
-    erred = [t for t in dask.scheduler.transitions
+    erred = [t for t in recorder.scheduler.transitions
              if t.key == "broken-bad00001" and t.finish_state == "erred"]
     assert len(erred) == 1
     assert erred[0].stimulus == "task-erred"
@@ -57,10 +58,11 @@ def test_failing_task_transitions_to_erred():
 
 def test_dependents_poisoned_transitively():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     run_failing(env, client, failing_graph())
     dep = dask.scheduler.tasks["dependent-bad00001"]
     assert dep.state == "erred"
-    upstream = [t for t in dask.scheduler.transitions
+    upstream = [t for t in recorder.scheduler.transitions
                 if t.key == "dependent-bad00001"
                 and t.stimulus == "upstream-erred"]
     assert upstream
@@ -68,10 +70,11 @@ def test_dependents_poisoned_transitively():
 
 def test_independent_tasks_still_complete():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     run_failing(env, client, failing_graph())
     good = dask.scheduler.tasks["good-bad00001"]
     assert good.state in ("memory", "released", "forgotten")
-    runs = {r.key for r in dask.all_task_runs()}
+    runs = {r.key for r in recorder.task_runs}
     assert "good-bad00001" in runs
     assert "dependent-bad00001" not in runs
 

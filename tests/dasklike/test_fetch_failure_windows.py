@@ -25,7 +25,7 @@ from repro.faults import FaultSchedule, FaultSpec
 from repro.sim import Interrupt
 from repro.workflows import ResNet152Workflow
 
-from tests.helpers import make_wms
+from tests.helpers import ClusterRecorder, make_wms
 
 MB = 2**20
 
@@ -63,6 +63,7 @@ class TestStaleWhoHasRefresh:
         """Every snapshot source is dead; the refresh must pick the
         scheduler's *live* replica, never the dead one it also lists."""
         env, dask = make_cluster()
+        recorder = ClusterRecorder(dask)
         fetcher = dask.workers[0]
         dead, live = remote_workers(dask, fetcher, 2)
         register_dep(dask.scheduler, "dep-stale", [dead, live], 8 * MB)
@@ -72,11 +73,12 @@ class TestStaleWhoHasRefresh:
         done = env.run(until=proc)
         assert done is True
         assert fetcher.data["dep-stale"] == 8 * MB
-        (record,) = fetcher.comms
+        (record,) = recorder.of(fetcher).comms
         assert record.src_worker == live.address
 
     def test_all_holders_dead_returns_false_not_forever(self):
         env, dask = make_cluster()
+        recorder = ClusterRecorder(dask)
         fetcher = dask.workers[0]
         dead, also_dead = remote_workers(dask, fetcher, 2)
         register_dep(dask.scheduler, "dep-gone", [dead, also_dead], MB)
@@ -87,13 +89,14 @@ class TestStaleWhoHasRefresh:
         done = env.run(until=proc)
         assert done is False
         assert "dep-gone" not in fetcher.data
-        assert fetcher.comms == []
+        assert recorder.of(fetcher).comms == []
 
     def test_source_death_mid_transfer_retries_cleanly(self):
         """The source dies while bytes are in flight: the attempt is
         dropped (no comm record, no accounting) and the fetch retries
         against the surviving holder."""
         env, dask = make_cluster()
+        recorder = ClusterRecorder(dask)
         fetcher = dask.workers[0]
         doomed, survivor = remote_workers(dask, fetcher, 2)
         register_dep(dask.scheduler, "dep-cut", [doomed, survivor],
@@ -108,7 +111,7 @@ class TestStaleWhoHasRefresh:
         assert done is True
         # Exactly one comm record — from the survivor, none from the
         # corpse — and the bytes are accounted exactly once.
-        (record,) = fetcher.comms
+        (record,) = recorder.of(fetcher).comms
         assert record.src_worker == survivor.address
         assert fetcher.managed_bytes == 64 * MB
 
@@ -183,6 +186,7 @@ class TestDestinationCrashMidTransfer:
         """The *fetching* worker dies mid-transfer.  fail() zeroed its
         accounting; the landing bytes must not bring any of it back."""
         env, dask = make_cluster()
+        recorder = ClusterRecorder(dask)
         fetcher = dask.workers[0]
         (holder,) = remote_workers(dask, fetcher, 1)
         dep_ts = register_dep(dask.scheduler, "dep-late", [holder],
@@ -197,12 +201,13 @@ class TestDestinationCrashMidTransfer:
         assert done is False
         assert fetcher.managed_bytes == 0
         assert fetcher.data == {}
-        assert fetcher.comms == []
+        assert recorder.of(fetcher).comms == []
         # No corpse replica registered with the scheduler either.
         assert fetcher.address not in dep_ts.who_has
 
     def test_crash_mid_unspill_keeps_accounting_zero(self):
         env, dask = make_cluster()
+        recorder = ClusterRecorder(dask)
         worker = dask.workers[0]
         worker.spilled["dep-scratch"] = 64 * MB
 
@@ -212,7 +217,7 @@ class TestDestinationCrashMidTransfer:
         env.run(until=proc)
         assert worker.managed_bytes == 0
         assert "dep-scratch" not in worker.data
-        assert worker.spill_events == []
+        assert recorder.of(worker).spills == []
 
     def test_crash_mid_execute_never_goes_negative(self):
         """compute_task reserves output bytes at execution start and
@@ -242,6 +247,7 @@ class TestDestinationCrashMidTransfer:
 
         env, cluster, run = make_instrumented(
             seed=11, worker_nodes=2, workers_per_node=4, threads=8)
+        recorder = ClusterRecorder(run.dask)
         injector = FaultInjector(
             FaultSchedule([FaultSpec("worker_crash", 0.7)]),
             cluster.streams)
@@ -265,6 +271,7 @@ class TestDestinationCrashMidTransfer:
         assert dead.data == {} and dead.spilled == {}
         # No transfer completed *into* the corpse after the crash, and
         # the scheduler holds no replica claims on it.
-        assert all(c.stop <= record["time"] for c in dead.comms)
+        assert all(c.stop <= record["time"]
+                   for c in recorder.of(dead).comms)
         for ts in run.dask.scheduler.tasks.values():
             assert dead.address not in ts.who_has

@@ -4,7 +4,7 @@ import pytest
 
 from repro.dasklike import DaskConfig, IOOp, TaskGraph, TaskSpec
 
-from tests.helpers import make_wms, run_graphs
+from tests.helpers import ClusterRecorder, make_wms, run_graphs
 
 
 def map_reduce_graph(width=8, token="ab12cd34"):
@@ -33,12 +33,12 @@ def test_single_task_graph_completes():
 
 def test_map_reduce_completes_and_orders_transitions():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     ((_, results),) = run_graphs(env, client, map_reduce_graph())
     assert results["sum-ab12cd34"] == 8
-    sched = dask.scheduler
     # The reduction must finish after every chunk.
     memory_times = {
-        r.key: r.timestamp for r in sched.transitions
+        r.key: r.timestamp for r in recorder.scheduler.transitions
         if r.finish_state == "memory"
     }
     for i in range(8):
@@ -49,8 +49,9 @@ def test_map_reduce_completes_and_orders_transitions():
 def test_tasks_spread_across_workers():
     env, cluster, dask, client, job = make_wms(workers_per_node=2,
                                                worker_nodes=2)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, map_reduce_graph(width=32))
-    used_workers = {run.worker for run in dask.all_task_runs()}
+    used_workers = {run.worker for run in recorder.task_runs}
     assert len(used_workers) > 1
 
 
@@ -58,8 +59,9 @@ def test_dependency_transfers_recorded():
     """The reducer needs chunks from other workers -> comm records."""
     env, cluster, dask, client, job = make_wms(workers_per_node=2,
                                                worker_nodes=2)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, map_reduce_graph(width=16))
-    comms = dask.all_comms()
+    comms = recorder.comms
     assert comms, "expected inter-worker dependency transfers"
     for c in comms:
         assert c.nbytes == 1 * 2**20
@@ -69,6 +71,7 @@ def test_dependency_transfers_recorded():
 
 def test_io_tasks_touch_pfs():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     cluster.pfs.create_file("/lus/in.dat", 8 * 2**20)
     graph = TaskGraph([
         TaskSpec(key="load-00ff00ff", compute_time=0.01,
@@ -80,7 +83,7 @@ def test_io_tasks_touch_pfs():
     ])
     cluster.pfs.create_file("/lus/out.dat", 0)
     run_graphs(env, client, graph, optimize=False)
-    runs = {r.key: r for r in dask.all_task_runs()}
+    runs = {r.key: r for r in recorder.task_runs}
     assert runs["load-00ff00ff"].io_time > 0
     assert runs["load-00ff00ff"].n_reads == 1
     assert cluster.pfs.stat("/lus/out.dat").size == 1 * 2**20
@@ -88,9 +91,10 @@ def test_io_tasks_touch_pfs():
 
 def test_thread_ids_are_worker_threads():
     env, cluster, dask, client, job = make_wms(threads=4)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, map_reduce_graph(width=16))
     by_worker = {w.address: set(w.thread_ids) for w in dask.workers}
-    for run in dask.all_task_runs():
+    for run in recorder.task_runs:
         assert run.thread_id in by_worker[run.worker]
 
 
@@ -109,12 +113,13 @@ def test_memory_released_after_dependents_finish():
 
 def test_multiple_graphs_sequential_submission():
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     results = run_graphs(env, client,
                          map_reduce_graph(token="aaaa1111"),
                          map_reduce_graph(token="bbbb2222"),
                          map_reduce_graph(token="cccc3333"))
     assert [index for index, _ in results] == [0, 1, 2]
-    graph_indices = {r.graph_index for r in dask.all_task_runs()}
+    graph_indices = {r.graph_index for r in recorder.task_runs}
     assert graph_indices == {0, 1, 2}
 
 
@@ -156,9 +161,10 @@ def test_run_to_run_task_placement_varies():
     """Same workflow, different run index -> different placements."""
     def placement(run_index):
         env, cluster, dask, client, job = make_wms(run_index=run_index)
+        recorder = ClusterRecorder(dask)
         run_graphs(env, client, map_reduce_graph(width=24))
         return tuple(sorted(
-            (r.key, r.worker) for r in dask.all_task_runs()
+            (r.key, r.worker) for r in recorder.task_runs
         ))
 
     placements = {placement(k) for k in range(4)}
@@ -168,9 +174,10 @@ def test_run_to_run_task_placement_varies():
 def test_same_seed_same_run_index_reproduces():
     def trace(run_index):
         env, cluster, dask, client, job = make_wms(run_index=run_index)
+        recorder = ClusterRecorder(dask)
         run_graphs(env, client, map_reduce_graph(width=12))
         return [(r.key, r.worker, round(r.start, 9), round(r.stop, 9))
-                for r in sorted(dask.all_task_runs(), key=lambda r: r.key)]
+                for r in sorted(recorder.task_runs, key=lambda r: r.key)]
 
     assert trace(2) == trace(2)
 
@@ -183,6 +190,7 @@ def test_unresponsive_warnings_emitted_under_memory_pressure():
         tick_warn_threshold=0.5,
     )
     env, cluster, dask, client, job = make_wms(config=config)
+    recorder = ClusterRecorder(dask)
     graph = TaskGraph([
         TaskSpec(key=(f"big-0f0f0f0f", i), compute_time=1.0,
                  output_nbytes=32 * 2**20)
@@ -191,7 +199,7 @@ def test_unresponsive_warnings_emitted_under_memory_pressure():
                   deps=tuple(("big-0f0f0f0f", i) for i in range(8)),
                   compute_time=0.1, output_nbytes=1)])
     run_graphs(env, client, graph)
-    kinds = {w.kind for w in dask.all_warnings()}
+    kinds = {w.kind for w in recorder.warnings}
     assert "gc_collect" in kinds
     assert "unresponsive_event_loop" in kinds
 

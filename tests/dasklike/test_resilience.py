@@ -10,7 +10,7 @@ import pytest
 from repro.dasklike import DaskConfig, IOOp, TaskGraph, TaskSpec
 from repro.dasklike.stealing import WorkStealing
 
-from tests.helpers import make_wms
+from tests.helpers import ClusterRecorder, make_wms
 
 
 def late_file_graph(token, retries=None, path=None):
@@ -89,9 +89,10 @@ class TestRetriesRecoverTransientError:
 
     def test_retry_transitions_recorded(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         create_later(env, cluster, "/lus/late-aa04.bin", at=0.5)
         run_to_result(env, client, late_file_graph("aa04", retries=3))
-        retry = [t for t in dask.scheduler.transitions
+        retry = [t for t in recorder.scheduler.transitions
                  if t.key == "flaky-aa04" and t.stimulus == "retry"]
         # released (budget consumed) then waiting (timer fired), per
         # attempt.
@@ -134,12 +135,13 @@ class TestTaskTimeout:
 
     def test_spec_timeout_erres_task(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         results, errors = run_to_result(
             env, client, self.slow_graph("ac01", timeout=0.5), linger=1.0)
         assert len(errors) == 1
         assert isinstance(errors[0], TimeoutError)
         assert "0.5s timeout" in str(errors[0])
-        timed_out = [t for t in dask.scheduler.transitions
+        timed_out = [t for t in recorder.scheduler.transitions
                      if t.key == "slow-ac01"
                      and t.stimulus == "task-timeout"]
         assert timed_out
@@ -155,23 +157,25 @@ class TestTaskTimeout:
 
     def test_timeout_consumes_retry_budget(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         results, errors = run_to_result(
             env, client, self.slow_graph("ac03", timeout=0.5, retries=1),
             linger=1.0)
         assert len(errors) == 1 and isinstance(errors[0], TimeoutError)
         ts = dask.scheduler.tasks["slow-ac03"]
         assert ts.retry_count == 1
-        retry = [t for t in dask.scheduler.transitions
+        retry = [t for t in recorder.scheduler.transitions
                  if t.key == "slow-ac03" and t.stimulus == "retry"]
         assert retry
 
     def test_no_timeout_by_default(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         results, errors = run_to_result(
             env, client, self.slow_graph("ac04"))
         assert not errors and results
         assert not any(t.stimulus == "task-timeout"
-                       for t in dask.scheduler.transitions)
+                       for t in recorder.scheduler.transitions)
 
 
 class TestGracefulDegradation:
@@ -201,6 +205,7 @@ class TestGracefulDegradation:
 
     def test_degradation_transitions_use_no_workers_stimulus(self):
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         graph = TaskGraph([TaskSpec(key="doomed-ad02", compute_time=2.0,
                                     output_nbytes=8)])
 
@@ -211,7 +216,7 @@ class TestGracefulDegradation:
 
         env.process(killer())
         run_to_result(env, client, graph, linger=1.0)
-        stimuli = {t.stimulus for t in dask.scheduler.transitions
+        stimuli = {t.stimulus for t in recorder.scheduler.transitions
                    if t.key == "doomed-ad02"}
         assert "no-workers" in stimuli
 
@@ -314,6 +319,7 @@ class TestStealingFailedWorkerGuards:
         config = DaskConfig(work_stealing=False)
         env, cluster, dask, client, job = make_wms(
             config=config, worker_nodes=2, workers_per_node=2, threads=1)
+        recorder = ClusterRecorder(dask)
         sched = dask.scheduler
         balancer = WorkStealing(sched)
         done = []
@@ -336,7 +342,7 @@ class TestStealingFailedWorkerGuards:
         assert dead.address in sched.workers
 
         balancer.balance()
-        for event in sched.steal_events:
+        for event in recorder.scheduler.steals:
             assert dead.address not in (event.victim, event.thief)
 
         # Direct guard: a steal with a dead endpoint must refuse.

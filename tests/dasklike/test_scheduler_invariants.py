@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.dasklike import DaskConfig, TaskGraph, TaskSpec
 from repro.dasklike.states import SCHEDULER_TRANSITIONS
 
-from tests.helpers import make_wms, run_graphs
+from tests.helpers import ClusterRecorder, make_wms, run_graphs
 
 
 @st.composite
@@ -43,27 +43,29 @@ def workload(draw):
 
 
 def run_workload(graph, seed=0, stealing=True):
+    """Run ``graph`` on a fresh cluster; returns (dask, its recorder)."""
     config = DaskConfig(work_stealing=stealing,
                         gc_base_rate=0.0, gc_pressure_rate=0.0)
     env, cluster, dask, client, job = make_wms(seed=seed, config=config)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, graph, optimize=False)
-    return dask
+    return dask, recorder
 
 
 @given(workload(), st.integers(0, 3))
 @settings(max_examples=15, deadline=None)
 def test_every_task_completes_exactly_once(graph, seed):
-    dask = run_workload(graph, seed=seed)
-    runs = [r.key for r in dask.all_task_runs()]
+    dask, recorder = run_workload(graph, seed=seed)
+    runs = [r.key for r in recorder.task_runs]
     assert sorted(runs) == sorted(graph.keys())
 
 
 @given(workload(), st.integers(0, 3))
 @settings(max_examples=10, deadline=None)
 def test_scheduler_transitions_always_legal(graph, seed):
-    dask = run_workload(graph, seed=seed)
+    dask, recorder = run_workload(graph, seed=seed)
     per_key: dict = {}
-    for t in dask.scheduler.transitions:
+    for t in recorder.scheduler.transitions:
         assert (t.start_state, t.finish_state) in SCHEDULER_TRANSITIONS
         per_key.setdefault(t.key, []).append(t)
     for key, transitions in per_key.items():
@@ -79,10 +81,10 @@ def test_scheduler_transitions_always_legal(graph, seed):
 @given(workload())
 @settings(max_examples=10, deadline=None)
 def test_transferred_bytes_match_dependency_sizes(graph):
-    dask = run_workload(graph)
+    dask, recorder = run_workload(graph)
     sizes = {name: spec.output_nbytes
              for name, spec in graph.tasks.items()}
-    for comm in dask.all_comms():
+    for comm in recorder.comms:
         assert comm.nbytes == sizes[comm.key]
         assert comm.duration >= 0
 
@@ -90,7 +92,7 @@ def test_transferred_bytes_match_dependency_sizes(graph):
 @given(workload())
 @settings(max_examples=10, deadline=None)
 def test_all_memory_released_after_gather(graph):
-    dask = run_workload(graph)
+    dask, _ = run_workload(graph)
     # Client gathered and released everything: workers hold nothing.
     for worker in dask.workers:
         assert worker.data == {}, worker.data
@@ -101,11 +103,11 @@ def test_all_memory_released_after_gather(graph):
 @given(workload(), st.booleans())
 @settings(max_examples=10, deadline=None)
 def test_stealing_never_changes_results(graph, stealing):
-    dask = run_workload(graph, stealing=stealing)
-    runs = [r.key for r in dask.all_task_runs()]
+    dask, recorder = run_workload(graph, stealing=stealing)
+    runs = [r.key for r in recorder.task_runs]
     assert sorted(runs) == sorted(graph.keys())
     # Memory transitions: exactly one per key.
-    memory = [t for t in dask.scheduler.transitions
+    memory = [t for t in recorder.scheduler.transitions
               if t.finish_state == "memory"]
     assert len(memory) == len(graph)
 

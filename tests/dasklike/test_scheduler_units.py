@@ -4,7 +4,7 @@ import pytest
 
 from repro.dasklike import DaskConfig, TaskGraph, TaskSpec
 
-from tests.helpers import make_wms, run_graphs
+from tests.helpers import ClusterRecorder, make_wms, run_graphs
 
 
 def make_sched(**config_kwargs):
@@ -70,6 +70,7 @@ class TestDecideWorker:
         # big result was gathered+released; recreate state manually:
         # (use persist to keep it in memory instead)
         env2, dask2, client2 = make_sched(idle_fraction=10.0)
+        recorder = ClusterRecorder(dask2)
         out = []
 
         def driver():
@@ -86,13 +87,13 @@ class TestDecideWorker:
         env2.run(until=env2.process(driver()))
         sched2 = dask2.scheduler
         parent = sched2.tasks["big-0d0d0d0d"]
-        child_runs = [r for w in dask2.workers for r in w.task_runs
+        child_runs = [r for r in recorder.task_runs
                       if r.key == "child-0e0e0e0e"]
-        parent_runs = [r for w in dask2.workers for r in w.task_runs
+        parent_runs = [r for r in recorder.task_runs
                        if r.key == "big-0d0d0d0d"]
         assert child_runs[0].worker == parent_runs[0].worker
         # And no transfer happened.
-        assert dask2.all_comms() == []
+        assert recorder.comms == []
 
 
 class TestRootCoassignment:

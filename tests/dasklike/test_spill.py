@@ -4,7 +4,7 @@ import pytest
 
 from repro.dasklike import DaskConfig, TaskGraph, TaskSpec
 
-from tests.helpers import make_wms, run_graphs
+from tests.helpers import ClusterRecorder, make_wms, run_graphs
 
 
 def big_output_graph(n=12, nbytes=16 * 2**20, token="51111111"):
@@ -37,9 +37,11 @@ def test_spill_events_occur_under_pressure():
     env, cluster, dask, client, job = make_wms(
         config=spill_config(), worker_nodes=1, workers_per_node=1,
         threads=4)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, big_output_graph(), optimize=False)
     worker = dask.workers[0]
-    spills = [e for e in worker.spill_events if e.direction == "spill"]
+    spills = [e for e in recorder.of(worker).spills
+              if e.direction == "spill"]
     assert spills, "expected spills under memory pressure"
 
 
@@ -58,11 +60,12 @@ def test_unspill_round_trip_preserves_results():
     env, cluster, dask, client, job = make_wms(
         config=spill_config(), worker_nodes=1, workers_per_node=1,
         threads=2)
+    recorder = ClusterRecorder(dask)
     results = run_graphs(env, client, big_output_graph(), optimize=False)
     (index, values), = results
     assert values["consume-51111111"] == 8
     worker = dask.workers[0]
-    unspills = [e for e in worker.spill_events
+    unspills = [e for e in recorder.of(worker).spills
                 if e.direction == "unspill"]
     assert unspills, "the consumer must have read spilled inputs back"
 
@@ -70,15 +73,17 @@ def test_unspill_round_trip_preserves_results():
 def test_spilling_disabled_by_default():
     env, cluster, dask, client, job = make_wms(
         worker_nodes=1, workers_per_node=1, threads=4)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, big_output_graph(token="52222222"),
                optimize=False)
-    assert all(not w.spill_events for w in dask.workers)
+    assert all(not recorder.of(w).spills for w in dask.workers)
 
 
 def test_spill_accounting_consistent():
     env, cluster, dask, client, job = make_wms(
         config=spill_config(), worker_nodes=1, workers_per_node=1,
         threads=2)
+    recorder = ClusterRecorder(dask)
     run_graphs(env, client, big_output_graph(token="53333333"),
                optimize=False)
     worker = dask.workers[0]
@@ -86,7 +91,7 @@ def test_spill_accounting_consistent():
     assert not (set(worker.data) & set(worker.spilled))
     # Every spill of a key precedes its unspill.
     last_dir = {}
-    for event in worker.spill_events:
+    for event in recorder.of(worker).spills:
         if event.direction == "unspill":
             assert last_dir.get(event.key) == "spill"
         last_dir[event.key] = event.direction

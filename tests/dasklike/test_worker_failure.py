@@ -4,7 +4,7 @@ import pytest
 
 from repro.dasklike import DaskConfig, TaskGraph, TaskSpec
 
-from tests.helpers import make_wms
+from tests.helpers import ClusterRecorder, make_wms
 
 
 def pipeline_graph(width=8, token="f00dfeed"):
@@ -26,7 +26,10 @@ def pipeline_graph(width=8, token="f00dfeed"):
 
 
 def run_with_mid_run_failure(kill_at=0.5, monitor=False, **wms_kwargs):
+    """Kill the first worker mid-run; returns (env, dask, victim,
+    results, recorder)."""
     env, cluster, dask, client, job = make_wms(**wms_kwargs)
+    recorder = ClusterRecorder(dask)
     if monitor:
         dask.scheduler.start_liveness_monitor(misses=3)
     victim = dask.workers[0]
@@ -48,40 +51,40 @@ def run_with_mid_run_failure(kill_at=0.5, monitor=False, **wms_kwargs):
 
     env.process(killer())
     env.run(until=env.process(driver()))
-    return env, dask, victim, results
+    return env, dask, victim, results, recorder
 
 
 def test_workflow_completes_despite_failure():
-    env, dask, victim, results = run_with_mid_run_failure()
+    env, dask, victim, results, _ = run_with_mid_run_failure()
     (index, values), = results
     assert "final-f00dfeed" in values
 
 
 def test_failed_worker_removed_from_membership():
-    env, dask, victim, results = run_with_mid_run_failure()
+    env, dask, victim, results, _ = run_with_mid_run_failure()
     assert victim.address not in dask.scheduler.workers
     assert victim.failed
     assert victim.data == {}
 
 
 def test_no_surviving_replicas_on_dead_worker():
-    env, dask, victim, results = run_with_mid_run_failure()
+    env, dask, victim, results, _ = run_with_mid_run_failure()
     for ts in dask.scheduler.tasks.values():
         assert victim.address not in ts.who_has
 
 
 def test_recovery_transitions_recorded():
-    env, dask, victim, results = run_with_mid_run_failure()
-    stimuli = {t.stimulus for t in dask.scheduler.transitions}
+    env, dask, victim, results, recorder = run_with_mid_run_failure()
+    stimuli = {t.stimulus for t in recorder.scheduler.transitions}
     assert "worker-failed" in stimuli or "recompute" in stimuli
 
 
 def test_tasks_not_duplicated_in_results():
     """Every task reaches memory exactly once per needed computation
     (recomputed tasks may run twice, but the final answer is single)."""
-    env, dask, victim, results = run_with_mid_run_failure()
+    env, dask, victim, results, recorder = run_with_mid_run_failure()
     final_memory = [
-        t for t in dask.scheduler.transitions
+        t for t in recorder.scheduler.transitions
         if t.key == "final-f00dfeed" and t.finish_state == "memory"
     ]
     assert len(final_memory) == 1
@@ -89,7 +92,7 @@ def test_tasks_not_duplicated_in_results():
 
 def test_heartbeat_based_detection():
     """A silent crash is detected via missed heartbeats."""
-    env, dask, victim, results = run_with_mid_run_failure(
+    env, dask, victim, results, _ = run_with_mid_run_failure(
         monitor=True, kill_at=0.3)
     (index, values), = results
     assert "final-f00dfeed" in values
@@ -111,8 +114,9 @@ def assert_converged(scheduler):
 def run_with_cascading_failure(kill_at=0.5, monitor=False):
     """First failure is handled, then the worker that received one of
     the reassigned in-flight tasks dies silently — before any liveness
-    tick could notice."""
+    tick could notice.  Returns (env, dask, victims, results, recorder)."""
     env, cluster, dask, client, job = make_wms()
+    recorder = ClusterRecorder(dask)
     scheduler = dask.scheduler
     if monitor:
         scheduler.start_liveness_monitor(misses=3)
@@ -150,7 +154,7 @@ def run_with_cascading_failure(kill_at=0.5, monitor=False):
 
     env.process(killer())
     env.run(until=env.process(driver()))
-    return env, dask, victims, results
+    return env, dask, victims, results, recorder
 
 
 class TestCascadingFailure:
@@ -159,7 +163,7 @@ class TestCascadingFailure:
         worker died silently, with no liveness monitor running.
         (Before the fix this deadlocked: the task sat in "processing"
         on the dead worker forever.)"""
-        env, dask, victims, results = run_with_cascading_failure()
+        env, dask, victims, results, _ = run_with_cascading_failure()
         assert len(victims) == 2, "cascade did not trigger"
         (index, values), = results
         assert "final-cascade1" in values
@@ -167,22 +171,23 @@ class TestCascadingFailure:
 
     def test_cascade_with_monitor_completes(self):
         """Heartbeat detection of the second death also converges."""
-        env, dask, victims, results = run_with_cascading_failure(
+        env, dask, victims, results, _ = run_with_cascading_failure(
             monitor=True, kill_at=0.3)
         (index, values), = results
         assert "final-cascade1" in values
         assert_converged(dask.scheduler)
 
     def test_cascade_removes_both_workers(self):
-        env, dask, victims, results = run_with_cascading_failure()
+        env, dask, victims, results, _ = run_with_cascading_failure()
         for victim in victims:
             assert victim.address not in dask.scheduler.workers
             assert victim.data == {}
 
     def test_cascade_final_reaches_memory_once(self):
-        env, dask, victims, results = run_with_cascading_failure()
+        env, dask, victims, results, recorder = \
+            run_with_cascading_failure()
         final_memory = [
-            t for t in dask.scheduler.transitions
+            t for t in recorder.scheduler.transitions
             if t.key == "final-cascade1" and t.finish_state == "memory"
         ]
         assert len(final_memory) == 1
@@ -191,8 +196,9 @@ class TestCascadingFailure:
         """A task dispatched to an already-dead worker bails out without
         recording zombie lifecycle transitions on that worker."""
         env, cluster, dask, client, job = make_wms()
+        recorder = ClusterRecorder(dask)
         victim = dask.workers[0]
-        before = len(victim.transitions)
+        before = len(recorder.of(victim).transitions)
         victim.fail()
         done = []
 
@@ -206,7 +212,7 @@ class TestCascadingFailure:
 
         env.run(until=env.process(probe()))
         assert done == [False]
-        assert len(victim.transitions) == before
+        assert len(recorder.of(victim).transitions) == before
 
 
 def test_healthy_run_has_no_failure_logs():

@@ -2,6 +2,7 @@
 
 from repro.dasklike import DaskCluster, DaskConfig
 from repro.instrument import InstrumentedRun
+from repro.instrument.plugins import BasePlugin
 from repro.jobs import BatchSystem, JobSpec
 from repro.platform import Cluster, ClusterSpec
 from repro.sim import Environment, RandomStreams
@@ -73,3 +74,74 @@ def run_graphs(env, client, *graphs, optimize=True):
 
     env.run(until=env.process(driver()))
     return out
+
+
+class RecordingPlugin(BasePlugin):
+    """Keeps every record its scheduler or worker hands it, by kind.
+
+    The WMS keeps no record itself: each one goes to the plugins and
+    dies when the last hook returns, so a test that reads records
+    attaches one of these before the run.
+    """
+
+    def __init__(self):
+        self.transitions = []
+        self.task_runs = []
+        self.comms = []
+        self.warnings = []
+        self.spills = []
+        self.steals = []
+
+    def transition(self, record):
+        self.transitions.append(record)
+
+    def task_finished(self, record):
+        self.task_runs.append(record)
+
+    def communication(self, record):
+        self.comms.append(record)
+
+    def warning(self, record):
+        self.warnings.append(record)
+
+    def spill_moved(self, record):
+        self.spills.append(record)
+
+    def steal(self, record):
+        self.steals.append(record)
+
+
+class ClusterRecorder:
+    """One :class:`RecordingPlugin` on the scheduler and one per worker."""
+
+    def __init__(self, dask):
+        self.scheduler = RecordingPlugin()
+        dask.scheduler.plugins.append(self.scheduler)
+        self.workers = {}
+        for worker in dask.workers:
+            recorder = RecordingPlugin()
+            worker.plugins.append(recorder)
+            self.workers[worker.address] = recorder
+
+    def of(self, worker):
+        """The recorder attached to ``worker``."""
+        return self.workers[worker.address]
+
+    def _across_workers(self, kind):
+        return [record for recorder in self.workers.values()
+                for record in getattr(recorder, kind)]
+
+    @property
+    def task_runs(self):
+        """Every worker's task runs, worker by worker."""
+        return self._across_workers("task_runs")
+
+    @property
+    def comms(self):
+        """Every worker's incoming transfers, worker by worker."""
+        return self._across_workers("comms")
+
+    @property
+    def warnings(self):
+        """Every worker's health warnings, worker by worker."""
+        return self._across_workers("warnings")

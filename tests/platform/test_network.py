@@ -38,7 +38,6 @@ def test_transfer_produces_record_with_flags():
     assert not rec.same_node
     assert rec.same_switch
     assert rec.duration > 0
-    assert net.records == [rec]
 
 
 def test_intranode_transfer_is_faster():

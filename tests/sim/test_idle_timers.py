@@ -25,6 +25,8 @@ from repro.mofka import MofkaService, Producer
 from repro.platform.node import Node, NodeSpec
 from repro.sim import Environment, SimulationError, Timeout
 
+from tests.helpers import RecordingPlugin
+
 UNIT = 1 / 64
 
 SETTINGS = settings(derandomize=True, max_examples=120, deadline=None,
@@ -343,32 +345,24 @@ class ScriptedGC:
         return self._next / self._median
 
 
-class Recorder:
-    def __init__(self, out):
-        self.out = out
-
-    def warning(self, record):
-        self.out.append((record.source, record.kind, record.time,
-                         record.duration))
-
-
 def run_workers(cls, scenario):
     """Warnings, in emission order, of workers of ``cls``."""
     interval, sample_dt, threshold, schedules = scenario
     env = Environment()
     config = DaskConfig(tick_interval=interval,
                         tick_warn_threshold=threshold)
-    warnings = []
+    recorder = RecordingPlugin()  # one for all: keeps emission order
     for index, pauses in enumerate(schedules):
         node = Node(env, f"nid{index + 1:05d}", NodeSpec())
         worker = cls(env, index, node, config,
                      ScriptedGC(pauses, config.gc_pause_median),
                      network=None, io_layer=None, nthreads=1)
         worker.GC_SAMPLE_DT = sample_dt
-        worker.plugins.append(Recorder(warnings))
+        worker.plugins.append(recorder)
         worker.start()
     env.run(until=6.0)
-    return warnings
+    return [(record.source, record.kind, record.time, record.duration)
+            for record in recorder.warnings]
 
 
 PAUSES = st.lists(st.one_of(

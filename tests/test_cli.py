@@ -149,12 +149,12 @@ class TestLint:
         assert args.format == "text"
         assert args.rules is None
 
-    def test_lint_real_tree_clean(self, capsys):
+    def test_lint_real_tree_clean(self, capsys, shared_lint_run):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
-    def test_lint_json_format(self, capsys):
+    def test_lint_json_format(self, capsys, shared_lint_run):
         import json
         assert main(["lint", "--format", "json"]) == 0
         document = json.loads(capsys.readouterr().out)

@@ -20,7 +20,7 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(repro.__file__))
 
 
 class TestTreeIsClean:
-    def test_lint_whole_package_exits_zero(self, capsys):
+    def test_lint_whole_package_exits_zero(self, capsys, shared_lint_run):
         assert main(["lint"]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
@@ -38,7 +38,7 @@ class TestTreeIsClean:
         paths = [os.path.join(PACKAGE_DIR, sub) for sub in subdirs]
         assert main(["lint", *paths]) == 0
 
-    def test_new_families_run_by_default(self, capsys):
+    def test_new_families_run_by_default(self, capsys, shared_lint_run):
         assert main(["lint", "--format", "json", PACKAGE_DIR]) == 0
         document = json.loads(capsys.readouterr().out)
         rules_run = set(document["rules_run"])

@@ -1,5 +1,6 @@
 """Tests for the three evaluation workflows and the runner."""
 
+import gc
 import os
 from collections import Counter
 
@@ -12,8 +13,17 @@ from repro.core import (
     longest_categories,
     oversized_tasks,
 )
+from repro.dasklike.records import (
+    CommRecord,
+    SpillRecord,
+    StealEvent,
+    TaskRun,
+    WarningRecord,
+)
+from repro.dasklike.states import TransitionRecord
 from repro.mofka import Event
 from repro.mofka.topic import Partition
+from repro.platform.network import TransferRecord
 from repro.workflows import (
     ImageProcessingWorkflow,
     ResNet152Workflow,
@@ -227,3 +237,30 @@ class TestRunner:
         result = run_workflow(factory(scale=0.03), seed=2)
         assert len(result.data.events) > 1000
         assert built == Counter()
+
+    @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
+                                         ResNet152Workflow,
+                                         XGBoostWorkflow])
+    def test_records_die_with_their_hook(self, factory):
+        """The WMS hands each record to its plugins and keeps none, so
+        reference counting frees a record when its last hook returns:
+        with the cyclic GC off, a finished run leaves no record for the
+        collector to find in the run's dead object graph."""
+        records = (TransitionRecord, TaskRun, CommRecord, WarningRecord,
+                   SpillRecord, StealEvent, TransferRecord)
+        enabled, flags = gc.isenabled(), gc.get_debug()
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_workflow(factory(scale=0.03), seed=41)
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            left = Counter(type(obj).__name__ for obj in gc.garbage
+                           if isinstance(obj, records))
+        finally:
+            gc.set_debug(flags)
+            gc.garbage.clear()
+            if enabled:
+                gc.enable()
+        assert len(result.data.events) > 1000
+        assert left == Counter()
