@@ -101,11 +101,8 @@ class Producer:
         self._flusher = env.process(self._flush_loop(),
                                     name=f"{name}-flusher")
 
-        # Client-side statistics for the overhead ablation.
         self.n_pushed = 0
         self.n_flushes = 0
-        self.flush_sizes: list[int] = []
-        self.flush_durations: list[float] = []
         #: Optional observer called as ``on_flush(size, duration)``
         #: after every completed flush RPC (telemetry hook).
         self.on_flush = None
@@ -157,9 +154,8 @@ class Producer:
         ``push`` kicks on *every* call past the threshold, so a flush
         that drains the buffer leaves the earlier kicks queued; without
         this drain they would wake the flusher immediately and trigger
-        empty or short flush cycles, distorting ``n_flushes`` /
-        ``flush_sizes`` (the statistics the A3 Mofka-overhead ablation
-        reports).  The ``"close"`` kick is preserved so teardown still
+        empty or short flush cycles, inflating ``n_flushes`` and the
+        RPC count.  The ``"close"`` kick is preserved so teardown still
         wakes the flusher.
         """
         items = self._kick.items
@@ -181,8 +177,6 @@ class Producer:
         ))
         self._counter += len(batch)
         self.n_flushes += 1
-        self.flush_sizes.append(len(batch))
-        self.flush_durations.append(self.env.now - start)
         if self.on_flush is not None:
             self.on_flush(len(batch), self.env.now - start)
 

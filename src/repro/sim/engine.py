@@ -49,8 +49,11 @@ grows, each deque is already sorted by the global key, so only timed
 traffic pays ``heappush``/``heappop``.  The next event is the least of
 the three lane heads, compared as ``(when, priority, seq, event)``
 tuples; ``seq`` is unique, so the comparison never reaches the event.
-All event classes declare ``__slots__``, and the monitor-free ``run()``
-loop is inlined with the lanes hoisted into locals.
+All event classes declare ``__slots__`` and fill the five
+:class:`Event` slots in their own constructors, without chaining to
+``Event.__init__``.  The clock, ``Environment.now``, is a plain slot
+that only the kernel writes.  The monitor-free ``run()`` loop is
+inlined with the lanes hoisted into locals.
 """
 
 from __future__ import annotations
@@ -144,9 +147,9 @@ class Event:
         # priority-0 fast lane, minus a method call.
         env = self.env
         env._seq = seq = env._seq + 1
-        env._fast0.append((env._now, 0, seq, self))
+        env._fast0.append((env.now, 0, seq, self))
         if env.monitor is not None:
-            env.monitor.on_schedule(self, env._now, 0, seq, env._now)
+            env.monitor.on_schedule(self, env.now, 0, seq, env.now)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -159,9 +162,9 @@ class Event:
         self._value = exception
         env = self.env
         env._seq = seq = env._seq + 1
-        env._fast0.append((env._now, 0, seq, self))
+        env._fast0.append((env.now, 0, seq, self))
         if env.monitor is not None:
-            env.monitor.on_schedule(self, env._now, 0, seq, env._now)
+            env.monitor.on_schedule(self, env.now, 0, seq, env.now)
         return self
 
     def defuse(self) -> None:
@@ -194,15 +197,15 @@ class Timeout(Event):
         self._value = value
         env._seq = seq = env._seq + 1
         if delay > 0.0:
-            when = env._now + delay
+            when = env.now + delay
             heappush(env._timed, (when, 0, seq, self))
         elif delay == 0.0:
-            env._fast0.append((env._now, 0, seq, self))
-            when = env._now
+            env._fast0.append((env.now, 0, seq, self))
+            when = env.now
         else:
             raise ValueError(f"negative delay {delay}")
         if env.monitor is not None:
-            env.monitor.on_schedule(self, when, 0, seq, env._now)
+            env.monitor.on_schedule(self, when, 0, seq, env.now)
 
     @classmethod
     def deferred(cls, env: "Environment", value: Any = None) -> "Timeout":
@@ -235,7 +238,7 @@ class Timeout(Event):
         now, because an old ``seq`` would unsort the FIFO lanes.
         """
         env = self.env
-        now = env._now
+        now = env.now
         if self.delay is not None:
             raise SimulationError(f"{self!r} is already scheduled")
         if when < now:
@@ -265,35 +268,43 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self._ok = True
+        # Inlined ``Event.__init__``, already succeeded.
+        self.env = env
+        self.callbacks = [process._resume_cb]
         self._value = None
-        self.callbacks.append(process._resume_cb)
+        self._ok = True
+        self._defused = False
         # Inlined ``env._schedule(self, delay=0.0, priority=-1)``.
         env._seq = seq = env._seq + 1
-        env._fastneg.append((env._now, -1, seq, self))
+        env._fastneg.append((env.now, -1, seq, self))
         if env.monitor is not None:
-            env.monitor.on_schedule(self, env._now, -1, seq, env._now)
+            env.monitor.on_schedule(self, env.now, -1, seq, env.now)
 
 
 class Process(Event):
     """A running generator; also an event that fires when it finishes.
 
     A finished process drops its cached resume callback, the one
-    reference cycle it holds (process -> bound method -> process).  So
-    once a process has returned, reference counting frees it, its
-    generator and its value as soon as nothing else refers to it,
-    without waiting for the cyclic GC.  (One that raised stays in its
-    exception's traceback cycle.)
+    reference cycle it holds (process -> bound method -> process), and
+    the event it waited on last.  So once a process has returned,
+    reference counting frees it, its generator and its value as soon
+    as nothing else refers to it, without waiting for the cyclic GC,
+    and it keeps no condition it last waited on alive.  (One that
+    raised stays in its exception's traceback cycle.)
     """
 
     __slots__ = ("_generator", "name", "_target", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator,
                  name: str = "", _defer_start: bool = False):
-        super().__init__(env)
         if not hasattr(generator, "send"):
             raise TypeError(f"process requires a generator, got {generator!r}")
+        # Inlined ``Event.__init__``.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._target: Optional[Event] = None
@@ -352,22 +363,22 @@ class Process(Event):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                self._resume_cb = None
+                self._resume_cb = self._target = None
                 env._seq = seq = env._seq + 1
-                env._fast0.append((env._now, 0, seq, self))
+                env._fast0.append((env.now, 0, seq, self))
                 if env.monitor is not None:
-                    env.monitor.on_schedule(self, env._now, 0, seq,
-                                            env._now)
+                    env.monitor.on_schedule(self, env.now, 0, seq,
+                                            env.now)
                 break
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                self._resume_cb = None
+                self._resume_cb = self._target = None
                 env._seq = seq = env._seq + 1
-                env._fast0.append((env._now, 0, seq, self))
+                env._fast0.append((env.now, 0, seq, self))
                 if env.monitor is not None:
-                    env.monitor.on_schedule(self, env._now, 0, seq,
-                                            env._now)
+                    env.monitor.on_schedule(self, env.now, 0, seq,
+                                            env.now)
                 break
 
             # ``result.callbacks`` doubles as the is-it-an-event check:
@@ -392,15 +403,26 @@ class Process(Event):
 
 
 class Condition(Event):
-    """Base for :class:`AllOf` / :class:`AnyOf` composite events."""
+    """Base for :class:`AllOf` / :class:`AnyOf` composite events.
 
-    __slots__ = ("events", "_evaluate", "_count")
+    A subclass says, in :meth:`_evaluate`, whether the number of
+    component events fired so far triggers the condition.
 
-    def __init__(self, env: "Environment", events: Iterable[Event],
-                 evaluate: Callable[[list[Event], int], bool]):
+    A condition that triggers while some of its components are still
+    pending detaches its ``_check`` from them once it is processed, as
+    SimPy does.  Otherwise a pending component keeps the condition
+    alive, and a withdrawn ``Store.get`` and the ``AnyOf`` that waited
+    on it would refer to each other until a full collection.  The
+    detach waits for the condition's own pop, not its trigger, so a
+    component that fires at the same instant still shows the shared
+    waiter to the event-ordering sanitizer.
+    """
+
+    __slots__ = ("events", "_count")
+
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         super().__init__(env)
         self.events = list(events)
-        self._evaluate = evaluate
         self._count = 0
         for event in self.events:
             if event.env is not env:
@@ -412,8 +434,13 @@ class Condition(Event):
         for event in self.events:
             if event.callbacks is None:
                 check(event)
+                if self._value is not PENDING:
+                    break  # triggered: later events need no check
             else:
                 event.callbacks.append(check)
+
+    def _evaluate(self, count: int) -> bool:
+        raise NotImplementedError
 
     def _collect(self) -> dict:
         return {
@@ -423,14 +450,26 @@ class Condition(Event):
         }
 
     def _check(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not PENDING:
             return
-        self._count += 1
+        self._count = count = self._count + 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
-        elif self._evaluate(self.events, self._count):
+        elif self._evaluate(count):
             self.succeed(self._collect())
+        else:
+            return
+        if count < len(self.events):
+            self.callbacks.append(self._detach)
+
+    def _detach(self, _event: Event) -> None:
+        """Remove ``_check`` from the components still pending."""
+        check = self._check
+        for event in self.events:
+            callbacks = event.callbacks
+            if callbacks is not None and check in callbacks:
+                callbacks.remove(check)
 
 
 class AllOf(Condition):
@@ -438,8 +477,8 @@ class AllOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count >= len(events))
+    def _evaluate(self, count: int) -> bool:
+        return count >= len(self.events)
 
 
 class AnyOf(Condition):
@@ -447,8 +486,8 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, events, lambda events, count: count >= 1)
+    def _evaluate(self, count: int) -> bool:
+        return count >= 1
 
 
 class MonitorChain:
@@ -486,11 +525,13 @@ class Environment:
     for timed events.
     """
 
-    __slots__ = ("_now", "_timed", "_fast0", "_fastneg", "_seq",
+    __slots__ = ("now", "_timed", "_fast0", "_fastneg", "_seq",
                  "_active_process", "monitor")
 
     def __init__(self, initial_time: float = 0.0):
-        self._now = float(initial_time)
+        #: Current simulated time (seconds).  A plain slot that only the
+        #: kernel writes, so reading the clock costs no call.
+        self.now = float(initial_time)
         #: Zero-delay fast lanes; see the module docstring.  Each holds
         #: ``(when, priority, seq)``-sorted entries by construction
         #: (the clock never rewinds, ``seq`` only grows), so a FIFO
@@ -509,11 +550,6 @@ class Environment:
         #: ``on_schedule``/``on_step``/``before_callback`` calls; the
         #: hot path pays a single ``is None`` check otherwise.
         self.monitor: Optional[Any] = None
-
-    @property
-    def now(self) -> float:
-        """Current simulated time (seconds)."""
-        return self._now
 
     # -- monitors --------------------------------------------------------
     def add_monitor(self, monitor: Any) -> Any:
@@ -603,7 +639,7 @@ class Environment:
     # -- scheduling ------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = 0) -> None:
         self._seq = seq = self._seq + 1
-        now = self._now
+        now = self.now
         if delay == 0.0:
             # Zero-delay fast lanes: appending keeps each deque sorted
             # by the global (when, priority, seq) key, so these events
@@ -667,7 +703,7 @@ class Environment:
         if entry is None:
             raise SimulationError("no scheduled events")
         when, prio, seq, event = entry
-        self._now = when
+        self.now = when
         monitor = self.monitor
         if monitor is not None:
             monitor.on_step(event, when, prio, seq)
@@ -719,7 +755,7 @@ class Environment:
                 raise SimulationError(
                     f"deadlock: event {stop!r} will never fire")
             event = best[3]
-            self._now = best[0]
+            self.now = best[0]
             callbacks = event.callbacks
             event.callbacks = None
             for callback in callbacks:
@@ -760,9 +796,9 @@ class Environment:
             stop._defused = True
             raise stop._value
         horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} is in the past (now={self._now})")
+        if horizon < self.now:
+            raise ValueError(f"until={horizon} is in the past (now={self.now})")
         while self.peek() <= horizon:
             self.step()
-        self._now = horizon
+        self.now = horizon
         return None

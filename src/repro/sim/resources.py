@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque, Optional
 
-from .engine import Environment, Event, SimulationError
+from .engine import PENDING, Environment, Event, SimulationError
 
 __all__ = ["Resource", "Request", "Store", "Container"]
 
@@ -31,7 +31,12 @@ class Request(Event):
     __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        # Inlined ``Event.__init__``, as in every event class below.
+        self.env = resource.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.resource = resource
 
     def __enter__(self) -> "Request":
@@ -100,7 +105,11 @@ class StorePut(Event):
     __slots__ = ("item",)
 
     def __init__(self, store: "Store", item: Any):
-        super().__init__(store.env)
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.item = item
 
 
@@ -108,7 +117,11 @@ class StoreGet(Event):
     __slots__ = ()
 
     def __init__(self, store: "Store"):
-        super().__init__(store.env)
+        self.env = store.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
 
 
 class Store:
@@ -180,7 +193,11 @@ class ContainerEvent(Event):
     __slots__ = ("amount",)
 
     def __init__(self, container: "Container", amount: float):
-        super().__init__(container.env)
+        self.env = container.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.amount = amount
 
 

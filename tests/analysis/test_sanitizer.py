@@ -118,6 +118,24 @@ class TestTieOrder:
         assert [f.rule for f in findings] == ["sanitize-tie-order"]
         assert findings[0].time == pytest.approx(1.0)
 
+    def test_any_of_on_accidental_tie_flagged(self):
+        """The first timer triggers the ``AnyOf``; the tied one pops
+        before the condition does, while the condition's check is
+        still among its callbacks."""
+        env, sanitizer = attached()
+        first = env.timeout(1.0)          # origin 0.0 -> fires at 1.0
+
+        def second_then_wait():
+            yield env.timeout(0.5)
+            second = env.timeout(0.5)     # origin 0.5 -> also 1.0
+            yield first | second
+
+        env.process(second_then_wait())
+        env.run()
+        findings = sanitizer.report().active
+        assert [f.rule for f in findings] == ["sanitize-tie-order"]
+        assert findings[0].time == pytest.approx(1.0)
+
     def test_disjoint_waiters_on_accidental_tie_exempt(self):
         env, sanitizer = attached()
 

@@ -1,11 +1,14 @@
 """Shared helpers to stand up a small simulated cluster for tests."""
 
+from collections import Counter
+
 from repro.dasklike import DaskCluster, DaskConfig
 from repro.instrument import InstrumentedRun
 from repro.instrument.plugins import BasePlugin
 from repro.jobs import BatchSystem, JobSpec
 from repro.platform import Cluster, ClusterSpec
-from repro.sim import Environment, RandomStreams
+from repro.sim import Environment, Process, RandomStreams, Timeout
+from repro.sim.engine import Condition, Initialize
 
 
 def make_wms(seed=0, run_index=0, worker_nodes=2, workers_per_node=2,
@@ -145,3 +148,41 @@ class ClusterRecorder:
     def warnings(self):
         """Every worker's health warnings, worker by worker."""
         return self._across_workers("warnings")
+
+
+class EventCounter:
+    """Engine monitor counting popped events by kind, and the processes
+    started.
+
+    The kinds are those of the benchmark's ``sim.events.*`` metrics:
+    ``timeout``, ``initialize``, ``process``, ``condition`` and
+    ``plain`` (every other event).  ``processes`` counts the resume
+    callbacks of the popped :class:`Initialize` events, one per started
+    process.  Attach with ``run_workflow(monitor=EventCounter())``.
+    """
+
+    def __init__(self):
+        self.counts = Counter()
+
+    def attach(self, env):
+        env.add_monitor(self)
+
+    def on_schedule(self, event, when, priority, seq, now):
+        pass
+
+    def before_callback(self, event, callback):
+        pass
+
+    def on_step(self, event, when, priority, seq):
+        kind = type(event)
+        if kind is Timeout:
+            self.counts["timeout"] += 1
+        elif kind is Initialize:
+            self.counts["initialize"] += 1
+            self.counts["processes"] += len(event.callbacks)
+        elif kind is Process:
+            self.counts["process"] += 1
+        elif isinstance(event, Condition):
+            self.counts["condition"] += 1
+        else:
+            self.counts["plain"] += 1

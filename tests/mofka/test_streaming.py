@@ -115,6 +115,8 @@ class TestProducerConsumer:
         env = Environment()
         service = make_service(env)
         producer = Producer(env, service, "prov", batch_size=8, linger=0.05)
+        sizes = []
+        producer.on_flush = lambda size, _: sizes.append(size)
 
         def workload():
             for i in range(20):
@@ -127,7 +129,7 @@ class TestProducerConsumer:
         assert service.n_events == 20
         # Batching: far fewer RPCs than events.
         assert service.n_produce_rpcs < 20
-        assert sum(producer.flush_sizes) == 20
+        assert sum(sizes) == 20
 
     def test_linger_flushes_partial_batches(self):
         env = Environment()

@@ -11,6 +11,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    Store,
 )
 
 
@@ -189,6 +190,63 @@ def test_condition_operators():
     env.process(waiter())
     env.run()
     assert times == [4.0, 5.0]
+
+
+def test_any_of_detaches_from_the_get_it_no_longer_needs():
+    """Once ``get | timer`` has fired on the timer, the condition's
+    check leaves the pending get's callbacks, so a withdrawn get and
+    the condition do not refer to each other."""
+    env = Environment()
+    store = Store(env)
+    get = store.get()
+    timer = env.timeout(1.0)
+    condition = get | timer
+    env.run(until=condition)
+    store.cancel(get)
+    assert condition.value == {timer: None}
+    assert not get.triggered
+    assert get.callbacks == []
+
+
+def test_all_of_detaches_from_the_rest_when_a_component_fails():
+    env = Environment()
+    failing, pending = env.event(), env.event()
+    condition = failing & pending
+    failing.fail(ValueError("boom"))
+    with pytest.raises(ValueError):
+        env.run(until=condition)
+    assert pending.callbacks == []
+
+
+def test_triggered_condition_registers_on_no_later_event():
+    env = Environment()
+    done = env.timeout(0.0)
+    env.run()
+    pending = env.event()
+    condition = AnyOf(env, [done, pending])
+    assert condition.triggered
+    assert pending.callbacks == []
+
+
+def test_withdrawn_get_and_its_condition_freed_by_reference_counting():
+    """The Mofka flusher's wait: a get withdrawn after ``get | timer``
+    fired on the timer leaves nothing for the cyclic GC."""
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        store = Store(env)
+
+        def waiter():
+            get = store.get()
+            yield get | env.timeout(1.0)
+            store.cancel(get)
+
+        env.process(waiter())
+        env.run()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_interrupt_reaches_process():

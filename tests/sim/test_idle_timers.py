@@ -286,6 +286,8 @@ def test_idle_flusher_does_not_wake():
         service.create_topic("t", 1)
         producer = cls(env, service, "t", batch_size=8, linger=0.05)
         monitor.process = producer._flusher
+        sizes = []
+        producer.on_flush = lambda size, _: sizes.append(size)
 
         def script():
             for time in (0.5, 1.5):
@@ -294,7 +296,7 @@ def test_idle_flusher_does_not_wake():
             yield env.timeout_at(2.0)
             yield env.process(producer.close())
         env.run(until=env.process(script()))
-        return monitor.count, producer.flush_sizes
+        return monitor.count, sizes
     sleeping, polling = wakeups(Producer), wakeups(PollingProducer)
     assert sleeping[1] == polling[1] == [1, 1]
     assert sleeping[0] <= 6 < 30 < polling[0]
