@@ -72,25 +72,23 @@ def collect(outputs: Iterable[Delayed], name: str = "delayed") -> TaskGraph:
     must reflect how the program constructed the tasks, not the
     traversal order of this collector.
     """
-    nodes: dict[str, Delayed] = {}
+    specs: dict[object, TaskSpec] = {}   # key -> spec, built once
     stack = list(outputs)
     while stack:
         node = stack.pop()
-        key = node.to_spec().name
-        if key in nodes:
+        if node.key in specs:
             continue
-        nodes[key] = node
+        specs[node.key] = node.to_spec()
         stack.extend(node.deps)
 
-    def order(item):
-        spec = item[1].to_spec()
-        index = spec.key[1] if (isinstance(spec.key, tuple)
-                                and len(spec.key) > 1
-                                and isinstance(spec.key[1], int)) else -1
+    def order(spec):
+        key = spec.key
+        index = key[1] if (isinstance(key, tuple) and len(key) > 1
+                           and isinstance(key[1], int)) else -1
         return (index, spec.group)
 
     graph = TaskGraph(name=name)
-    for _, node in sorted(nodes.items(), key=order):
-        graph.add(node.to_spec())
+    for spec in sorted(specs.values(), key=order):
+        graph.add(spec)
     graph.validate(allow_external=True)
     return graph

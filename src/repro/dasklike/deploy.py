@@ -82,9 +82,22 @@ class DaskCluster:
         self.cluster.pfs.start_interference()
 
     def close(self) -> None:
+        """Shut the cluster down once its work is done.
+
+        Stops the workers, the balancer and the liveness monitor: the
+        worker tick loops are ended where they wait, and every other
+        background process returns at its next wake-up.  Detaches the
+        workers from the scheduler: ``Worker.scheduler`` is the one
+        reference back from a worker, so afterwards the scheduler, the
+        workers and the task table hold no reference cycle.  The
+        scheduler keeps its worker table, so :meth:`all_logs` and the
+        provenance capture read the same after a close.
+        """
         for worker in self.workers:
             worker.close()
+            worker.scheduler = None
         self.stealing.stop()
+        self.scheduler.stop_liveness_monitor()
 
     def client(self, name: str = "client") -> Client:
         return Client(self.env, self.scheduler, self.config, name=name)

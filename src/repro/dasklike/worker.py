@@ -125,6 +125,8 @@ class Worker:
         self._gc_until = 0.0
         #: What the sleeping tick loop waits on; ``None`` while it ticks.
         self._loop_wake = None
+        #: The tick loop's process, which :meth:`close` ends.
+        self._loop = None
         self._inflight_fetch: dict[str, object] = {}
         self._started = False
         self._closed = False
@@ -143,14 +145,24 @@ class Worker:
         if self._started:
             return
         self._started = True
-        self.env.process(self._event_loop(), name=f"{self.name}-loop")
+        self._loop = self.env.process(self._event_loop(),
+                                      name=f"{self.name}-loop")
         self.env.process(self._gc_model(), name=f"{self.name}-gc")
         self.env.process(self._heartbeat(), name=f"{self.name}-heartbeat")
         self.log("INFO", f"Start worker at {self.address}, "
                          f"{self.nthreads} threads")
 
     def close(self) -> None:
+        """Stop the background processes.
+
+        The GC model and the heartbeat return at their next wake-up.
+        The tick loop is ended where it waits: asleep until the GC
+        model draws a pause, it would never wake again, and awake, it
+        would only return.
+        """
         self._closed = True
+        if self._loop is not None:
+            self._loop.end()
 
     def fail(self) -> None:
         """Simulate a worker-process crash: stop everything, lose data.
@@ -227,7 +239,7 @@ class Worker:
                     expected += interval
                 yield env.timeout_at(expected)
             if self._closed:
-                # close() landed while we were parked on the timeout;
+                # fail() landed while we were parked on the timeout;
                 # a warning now would be attributed to a dead worker.
                 return
             if self._gc_until > env.now:

@@ -23,6 +23,10 @@ Design notes
   Dask futures.
 * ``Interrupt`` support allows the work-stealing and fault-detection
   models to cancel in-flight waits.
+* A run that is over ends what still waits without running it
+  (:meth:`Process.end`, :meth:`Environment.close`), so the periodic
+  processes parked on the clock do not keep the run's objects in
+  reference cycles.
 * A periodic process that sleeps while it has nothing to do wakes on a
   :class:`Timeout` scheduled at an absolute time
   (:meth:`Environment.timeout_at`, :meth:`Timeout.schedule_at`): it
@@ -290,7 +294,8 @@ class Process(Event):
     reference counting frees it, its generator and its value as soon
     as nothing else refers to it, without waiting for the cyclic GC,
     and it keeps no condition it last waited on alive.  (One that
-    raised stays in its exception's traceback cycle.)
+    raised stays in its exception's traceback cycle.)  A process that
+    :meth:`end` ended drops the same references.
     """
 
     __slots__ = ("_generator", "name", "_target", "_resume_cb")
@@ -307,18 +312,21 @@ class Process(Event):
         self._defused = False
         self._generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._target: Optional[Event] = None
         #: The bound ``_resume`` method, created once — it is appended
         #: to a callback list on every wait, and binding it per yield
         #: would allocate a fresh method object each time.  ``None``
-        #: once the process has finished.
+        #: once the process has finished or was ended.
         self._resume_cb = self._resume
-        if not _defer_start:
-            Initialize(env, self)
+        #: The event the process waits on: its :class:`Initialize`
+        #: until it starts (set by :meth:`Environment.process_batch`
+        #: for a deferred start), ``None`` once it has finished.
+        self._target: Optional[Event] = (
+            None if _defer_start else Initialize(env, self))
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        """False once the process has finished or was ended."""
+        return self._resume_cb is not None
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time.
@@ -326,9 +334,9 @@ class Process(Event):
         The interrupt is delivered by a priority ``-1`` event, after
         any same-instant start of the process.  A process that has
         finished by then (say, on an earlier interrupt of the same
-        instant) ignores it.
+        instant), or was ended, ignores it.
         """
-        if self.triggered:
+        if self._resume_cb is None:
             raise SimulationError("cannot interrupt a finished process")
         if self is self.env._active_process:
             raise SimulationError("a process cannot interrupt itself")
@@ -339,8 +347,28 @@ class Process(Event):
         event.callbacks.append(self._deliver_interrupt)
         self.env._schedule(event, delay=0.0, priority=-1)
 
+    def end(self) -> None:
+        """End the process where it waits, without resuming it.
+
+        The process leaves the event it waits on, drops its resume
+        callback and has its generator closed, so its ``finally``
+        blocks run.  Nothing is scheduled and no time passes: the
+        process never fires, and whoever waits on it waits on.  A
+        process that has finished, or was ended, is left as it is.
+        """
+        resume = self._resume_cb
+        if resume is None:
+            return
+        if self is self.env._active_process:
+            raise SimulationError("a process cannot end itself")
+        target = self._target
+        if target is not None and target.callbacks is not None:
+            target.callbacks.remove(resume)
+        self._resume_cb = self._target = None
+        self._generator.close()
+
     def _deliver_interrupt(self, event: Event) -> None:
-        if self._value is not PENDING:
+        if self._resume_cb is None:
             return
         # Detach from the event the process waits on now, so that it
         # is not resumed a second time when that event fires.
@@ -443,10 +471,14 @@ class Condition(Event):
         raise NotImplementedError
 
     def _collect(self) -> dict:
+        """The values of the components processed so far, as SimPy
+        reports them.  A component that triggered but still waits in
+        the queue does not count: a :class:`Timeout` holds its value
+        from construction on."""
         return {
             event: event._value
             for event in self.events
-            if event.triggered and event._ok
+            if event.callbacks is None and event._ok
         }
 
     def _check(self, event: Event) -> None:
@@ -488,6 +520,19 @@ class AnyOf(Condition):
 
     def _evaluate(self, count: int) -> bool:
         return count >= 1
+
+
+def _end_waiters(event: Event) -> None:
+    """End every process that waits on ``event``, directly or through
+    a condition over it; each such condition is detached from its
+    components."""
+    for callback in list(event.callbacks or ()):
+        owner = getattr(callback, "__self__", None)
+        if isinstance(owner, Process):
+            owner.end()
+        elif getattr(callback, "__func__", None) is Condition._check:
+            owner._detach(event)
+            _end_waiters(owner)
 
 
 class MonitorChain:
@@ -630,6 +675,7 @@ class Environment:
                 starter = Initialize(self, proc)
             else:
                 starter.callbacks.append(proc._resume_cb)
+            proc._target = starter
             procs.append(proc)
         return procs
 
@@ -656,6 +702,30 @@ class Environment:
             heappush(self._timed, (when, priority, seq, event))
         if self.monitor is not None:
             self.monitor.on_schedule(event, when, priority, seq, now)
+
+    def close(self) -> None:
+        """End every process that waits on a scheduled event, and drop
+        the schedule.
+
+        Nothing runs and no time passes: each process that waits on a
+        queued event, directly or through a condition, is ended where
+        it waits (:meth:`Process.end`).  Events that their ``finally``
+        blocks schedule are dropped in the same way, until the queue
+        is empty.  A finished run calls this to let go of the periodic
+        processes (heartbeats, samplers, balancers) that would
+        otherwise wait on the clock forever, in reference cycles with
+        the environment.  Processes that wait on an unscheduled event,
+        such as a process that has not finished, are left to their
+        owners.
+        """
+        lanes = (self._fastneg, self._fast0, self._timed)
+        while any(lanes):
+            # The lanes in pop order: (when, priority, seq) is unique.
+            entries = sorted([*self._fastneg, *self._fast0, *self._timed])
+            for lane in lanes:
+                lane.clear()
+            for entry in entries:
+                _end_waiters(entry[3])
 
     def _pop_next(self) -> Optional[tuple[float, int, int, Event]]:
         """Remove and return the globally next entry, or ``None``.

@@ -26,7 +26,11 @@ __all__ = ["Resource", "Request", "Store", "Container"]
 
 
 class Request(Event):
-    """A pending or granted claim on a :class:`Resource` slot."""
+    """A pending or granted claim on a :class:`Resource` slot.
+
+    A grant carries no value, as in SimPy: a request whose value was
+    the request itself would be a one-object reference cycle.
+    """
 
     __slots__ = ("resource",)
 
@@ -69,7 +73,7 @@ class Resource:
         req = Request(self)
         if len(self.users) < self.capacity:
             self.users.append(req)
-            req.succeed(req)
+            req.succeed()
         else:
             self.queue.append(req)
         return req
@@ -90,7 +94,7 @@ class Resource:
             if nxt.triggered:
                 continue  # cancelled while queued
             self.users.append(nxt)
-            nxt.succeed(nxt)
+            nxt.succeed()
             break
 
     def cancel(self, request: Request) -> None:

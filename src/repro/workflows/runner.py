@@ -123,6 +123,11 @@ def run_workflow(workflow: Workflow, seed: int = 0, run_index: int = 0,
         run.persist(run_dir, client=client, workflow=workflow.describe())
 
     data = RunData.load(run, client=client)
+    # The run is over: close the cluster, as a Dask user would, and end
+    # what still waits on the clock.  That leaves no reference cycle,
+    # so reference counting frees the run when this function returns.
+    run.dask.close()
+    env.close()
     return RunResult(data=data, run_index=run_index,
                      wall_time=data.wall_time, run_dir=run_dir,
                      telemetry=telemetry,

@@ -9,6 +9,7 @@ from repro.dasklike import (
     imread,
     read_parquet,
 )
+from repro.dasklike.delayed import Delayed
 from repro.dasklike.states import key_split
 
 
@@ -30,6 +31,28 @@ class TestDelayed:
         right = delayed("right", deps=(base,))
         graph = collect([left, right])
         assert len(graph) == 3
+
+    def test_collect_builds_one_spec_per_node(self, monkeypatch):
+        """Each node's spec is built once, on its first visit, however
+        many dependents reach it, and serves the order and the graph."""
+        built = []
+        to_spec = Delayed.to_spec
+
+        def counted(node):
+            built.append(node.key)
+            return to_spec(node)
+        monkeypatch.setattr(Delayed, "to_spec", counted)
+        loads = [delayed("load", index=i, output_nbytes=1) for i in range(4)]
+        model = delayed("model", output_nbytes=8)
+        preds = [delayed("predict", index=i, deps=(load, model))
+                 for i, load in enumerate(loads)]
+        graph = collect([delayed("gather", deps=tuple(preds))])
+        assert len(graph) == 10
+        assert len(built) == 10
+        assert {spec.key for spec in graph.tasks.values()} == set(built)
+        # Creation order: unindexed nodes first, then by index and group.
+        assert [spec.prefix for spec in graph.tasks.values()][:4] == \
+            ["gather", "model", "load", "predict"]
 
     def test_index_produces_tuple_keys(self):
         nodes = [delayed("load", index=i, output_nbytes=1) for i in range(3)]

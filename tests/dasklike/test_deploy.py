@@ -6,6 +6,7 @@ from repro.dasklike import DaskCluster, DaskConfig, PassthroughIO
 from repro.jobs import BatchSystem, JobSpec
 from repro.platform import Cluster, ClusterSpec
 from repro.sim import Environment, RandomStreams
+from repro.sim.engine import Initialize
 
 from tests.helpers import ClusterRecorder, make_wms, run_graphs
 from tests.dasklike.test_integration import map_reduce_graph
@@ -91,3 +92,46 @@ class TestAggregationHelpers:
         assert all(a is b for a, b in zip(merged, two_sorts))
         times = [entry.time for entry in merged]
         assert len(set(times)) < len(times)  # ties are exercised
+
+
+class StartedProcesses:
+    """Engine monitor keeping every process it sees start."""
+
+    def __init__(self):
+        self.processes = []
+
+    def on_schedule(self, event, when, priority, seq, now):
+        pass
+
+    def before_callback(self, event, callback):
+        pass
+
+    def on_step(self, event, when, priority, seq):
+        if type(event) is Initialize:
+            self.processes.extend(cb.__self__ for cb in event.callbacks)
+
+
+class TestClose:
+    def test_close_leaves_none_of_the_cluster_processes_waiting(self):
+        """After ``close`` the worker tick loops are ended at once, and
+        the GC models, heartbeats, balancer and liveness monitor return
+        at their next wake-up; only the platform's PFS load walk goes
+        on.  The logs and the provenance the cluster reports stay."""
+        env, cluster, dask, client, job = make_wms()
+        started = env.add_monitor(StartedProcesses())
+        dask.scheduler.start_liveness_monitor()
+        run_graphs(env, client, map_reduce_graph(width=8,
+                                                 token="c105ec105e"))
+        logs = dask.all_logs()
+        described = dask.scheduler.describe()
+        dask.close()
+        assert all(worker.scheduler is None for worker in dask.workers)
+        env.run(until=env.now + 10.0)
+        waiting = sorted(proc.name for proc in started.processes
+                         if proc.is_alive)
+        assert waiting == ["pfs-interference"]
+        names = {proc.name for proc in started.processes}
+        assert {"worker-0-loop", "worker-0-gc", "worker-0-heartbeat",
+                "work-stealing", "scheduler-liveness"} <= names
+        assert dask.all_logs() == logs
+        assert dask.scheduler.describe() == described

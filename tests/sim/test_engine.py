@@ -208,6 +208,25 @@ def test_any_of_detaches_from_the_get_it_no_longer_needs():
     assert get.callbacks == []
 
 
+def test_condition_value_holds_only_processed_components():
+    """A timer still waiting in the queue has a value from construction
+    on; the condition reports only what has been processed, as SimPy
+    does."""
+    env = Environment()
+    store = Store(env)
+    get = store.get()
+    timer = env.timeout(1.0)
+    condition = get | timer
+
+    def putter():
+        yield env.timeout(0.1)
+        store.put("x")
+
+    env.process(putter())
+    assert env.run(until=condition) == {get: "x"}
+    assert env.now == 0.1
+
+
 def test_all_of_detaches_from_the_rest_when_a_component_fails():
     env = Environment()
     failing, pending = env.event(), env.event()

@@ -67,6 +67,18 @@ def test_resource_context_manager_releases():
     assert res.count == 0
 
 
+def test_grants_carry_no_value():
+    """A grant whose value was the request itself would be a reference
+    cycle per request; as in SimPy, a grant carries ``None``."""
+    env = Environment()
+    res = Resource(env, capacity=1)
+    first, queued = res.request(), res.request()
+    env.run()
+    res.release(first)
+    env.run()
+    assert first.value is None and queued.value is None
+
+
 def test_resource_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Tests for the three evaluation workflows and the runner."""
 
 import gc
+import io
+import json
 import os
 from collections import Counter
 
@@ -13,6 +15,7 @@ from repro.core import (
     longest_categories,
     oversized_tasks,
 )
+from repro.dasklike import DaskCluster, DaskConfig
 from repro.dasklike.records import (
     CommRecord,
     SpillRecord,
@@ -21,10 +24,13 @@ from repro.dasklike.records import (
     WarningRecord,
 )
 from repro.dasklike.states import TransitionRecord
+from repro.faults import FAULT_KINDS, FaultSchedule, FaultSpec
+from repro.instrument import InstrumentedRun
 from repro.mofka import Event
 from repro.mofka.topic import Partition
 from repro.platform.network import TransferRecord
 from repro.sim.engine import Condition
+from repro.telemetry import Telemetry
 from repro.workflows import (
     ImageProcessingWorkflow,
     ResNet152Workflow,
@@ -35,15 +41,23 @@ from repro.workflows import (
 )
 
 
-def cyclic_garbage(factory, keep):
+def cyclic_garbage(factory, keep, **run_kwargs):
     """Run ``factory`` at scale 0.03 with the cyclic GC off, and count
     by type the objects that only a collection would free and that
-    ``keep`` accepts."""
+    ``keep`` accepts.  ``run_kwargs`` go to :func:`run_workflow`."""
+    return _cyclic_garbage(
+        lambda: run_workflow(factory(scale=0.03), seed=41, **run_kwargs),
+        keep)
+
+
+def _cyclic_garbage(call, keep):
+    """``call()`` with the cyclic GC off, and the objects by type that
+    only a collection would free and that ``keep`` accepts."""
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
     try:
-        result = run_workflow(factory(scale=0.03), seed=41)
+        result = call()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
         left = Counter(type(obj).__name__ for obj in gc.garbage if keep(obj))
@@ -53,6 +67,10 @@ def cyclic_garbage(factory, keep):
         if enabled:
             gc.enable()
     return result, left
+
+
+def everything(obj):
+    return True
 
 
 class TestScaled:
@@ -273,6 +291,80 @@ class TestRunner:
             factory, lambda obj: isinstance(obj, records))
         assert len(result.data.events) > 1000
         assert left == Counter()
+
+    @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
+                                         ResNet152Workflow,
+                                         XGBoostWorkflow])
+    def test_finished_run_frees_itself(self, factory):
+        """A finished run holds no reference cycle: the cluster is
+        closed, the processes still waiting on the clock are ended and
+        no grant refers to itself, so with the cyclic GC off nothing of
+        the run is left for a collection."""
+        result, left = cyclic_garbage(factory, everything)
+        assert len(result.data.events) > 1000
+        assert left == Counter()
+
+    @pytest.mark.parametrize("variant", [
+        "telemetry", "proxystore", *(f"fault-{kind}" for kind in FAULT_KINDS)])
+    def test_extended_run_frees_itself(self, variant):
+        """The same holds with the telemetry samplers, the proxy store,
+        and under each fault kind's injector."""
+        if variant == "telemetry":
+            kwargs = {"telemetry": Telemetry()}
+        elif variant == "proxystore":
+            kwargs = {"config": DaskConfig(proxy_enabled=True)}
+        else:
+            kind = variant[len("fault-"):]
+            kwargs = {"faults": FaultSchedule(
+                [FaultSpec(kind, 0.8, duration=3.0)])}
+        result, left = cyclic_garbage(ImageProcessingWorkflow, everything,
+                                      **kwargs)
+        assert all(record["fired"] for record in result.fault_records)
+        assert left == Counter()
+
+    def test_persisted_run_leaves_only_the_indent_encoder(self, tmp_path):
+        """Persisting adds only the garbage of the standard library's
+        pure-Python ``json.dump(..., indent=2)`` of ``job.json`` and
+        ``provenance.json``: its encoder closures refer to each other,
+        and none of them to the run."""
+        _, encoder = _cyclic_garbage(
+            lambda: [json.dump({"a": [1.0]}, io.StringIO(), indent=2)
+                     for _ in range(2)],
+            everything)
+        assert encoder
+        _, left = cyclic_garbage(ImageProcessingWorkflow, everything,
+                                 persist_dir=str(tmp_path))
+        assert left == encoder
+
+    def test_closed_run_persists_the_same_bytes(self, tmp_path,
+                                                monkeypatch):
+        """``run_workflow`` closes the run after its persist and live
+        load; persisting it once more afterwards, as the benchmark's
+        traced journey does, writes what a persist just before the
+        close wrote."""
+        close = DaskCluster.close
+        runs = []
+
+        def persist_then_close(dask):
+            (run,) = runs
+            run.persist(str(tmp_path / "before"))
+            close(dask)
+        init = InstrumentedRun.__init__
+
+        def capture(run, *args, **kwargs):
+            runs.append(run)
+            init(run, *args, **kwargs)
+        monkeypatch.setattr(InstrumentedRun, "__init__", capture)
+        monkeypatch.setattr(DaskCluster, "close", persist_then_close)
+        run_workflow(ImageProcessingWorkflow(scale=0.03), seed=41)
+        runs[0].persist(str(tmp_path / "after"))
+
+        def files(root):
+            return {path.relative_to(root): path.read_bytes()
+                    for path in root.rglob("*") if path.is_file()}
+        before, after = files(tmp_path / "before"), files(tmp_path / "after")
+        assert len(before) > 10 and before.keys() == after.keys()
+        assert [path for path in before if before[path] != after[path]] == []
 
     @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
                                          ResNet152Workflow,
