@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..sim import Environment, RandomStreams, Resource
+from ..sim import Environment, Event, RandomStreams, Resource
 
 __all__ = ["PFSSpec", "FileMeta", "IORecord", "ParallelFileSystem"]
 
@@ -80,6 +80,46 @@ class IORecord:
     @property
     def duration(self) -> float:
         return self.stop - self.start
+
+
+class _ExtentService(Event):
+    """One stripe extent served by one OST; fires once it is served.
+
+    A chain of engine callbacks rather than a process: the constructor
+    requests an OST service slot, the grant draws the request's jitter
+    and schedules its service time, and the end of that time releases
+    the slot and fires this event.  Each step runs where a process
+    doing the same in a generator would have run it (see
+    ``docs/simulation.md``), minus the process's start and finish
+    events.
+    """
+
+    __slots__ = ("pfs", "ost_index", "nbytes", "slot")
+
+    def __init__(self, pfs: "ParallelFileSystem", ost_index: int,
+                 nbytes: int):
+        super().__init__(pfs.env)
+        self.pfs = pfs
+        self.ost_index = ost_index
+        self.nbytes = nbytes
+        self.slot = pfs._osts[ost_index].request()
+        self.slot.callbacks.append(self._granted)
+
+    def _granted(self, _slot: Event) -> None:
+        pfs, ost_index = self.pfs, self.ost_index
+        spec = pfs.spec
+        jitter = pfs.streams.lognormal_factor(
+            f"pfs.jitter.{ost_index}", spec.jitter_sigma)
+        slowdown = pfs._interference[ost_index]
+        if self.env.now < pfs._fault_until[ost_index]:
+            slowdown *= pfs._fault_factor[ost_index]
+        service = (spec.request_latency
+                   + self.nbytes / spec.ost_bandwidth * slowdown) * jitter
+        self.env.timeout(service).callbacks.append(self._served)
+
+    def _served(self, _timeout: Event) -> None:
+        self.pfs._osts[self.ost_index].release(self.slot)
+        self.succeed()
 
 
 class ParallelFileSystem:
@@ -188,26 +228,6 @@ class ParallelFileSystem:
             yield self._ost_for(meta, pos), chunk
             pos += chunk
 
-    def _serve(self, ost_index: int, nbytes: int, tag: str):
-        """Process: one request against one OST."""
-        ost = self._osts[ost_index]
-        req = ost.request()
-        yield req
-        try:
-            jitter = self.streams.lognormal_factor(
-                f"pfs.jitter.{ost_index}", self.spec.jitter_sigma
-            )
-            slowdown = self._interference[ost_index]
-            if self.env.now < self._fault_until[ost_index]:
-                slowdown *= self._fault_factor[ost_index]
-            service = (
-                self.spec.request_latency
-                + nbytes / self.spec.ost_bandwidth * slowdown
-            ) * jitter
-            yield self.env.timeout(service)
-        finally:
-            ost.release(req)
-
     def io(self, path: str, op: str, offset: int, length: int):
         """Process: one POSIX read/write; returns an :class:`IORecord`.
 
@@ -223,14 +243,10 @@ class ParallelFileSystem:
             length = max(0, min(length, meta.size - offset))
         start = self.env.now
         if length > 0:
-            parts = [
-                self.env.process(
-                    self._serve(ost, nbytes, f"{op}:{path}"),
-                    name=f"pfs-{op}",
-                )
+            yield self.env.all_of([
+                _ExtentService(self, ost, nbytes)
                 for ost, nbytes in self._stripe_extents(meta, offset, length)
-            ]
-            yield self.env.all_of(parts)
+            ])
         else:
             # Zero-byte ops still pay the RPC round trip.
             yield self.env.timeout(self.spec.request_latency)

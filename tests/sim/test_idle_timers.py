@@ -139,16 +139,19 @@ class PollingProducer(Producer):
                 if not get.triggered:
                     self._kick.cancel(get)
             if self._buffer:
-                yield self.env.process(self._flush_once())
+                yield self._flush_once()
                 self._drain_stale_kicks()
 
 
-def run_producers(cls, scenario):
+def run_producers(cls, scenario, monitor=None):
     """``(time, producer, size)`` of every completed flush of
     ``scenario`` on producers of ``cls``, in completion order, and the
-    ``(timestamp, metadata)`` entries of every partition."""
+    ``(timestamp, metadata)`` entries of every partition.  ``monitor``,
+    if given, observes the engine."""
     linger, rpc, batch_size, n_producers, pushes, close_at = scenario
     env = Environment()
+    if monitor is not None:
+        env.add_monitor(monitor)
     service = MofkaService(env)
     if rpc is not None:
         service.RPC_LATENCY = rpc

@@ -16,15 +16,15 @@ from repro.workflows import (ImageProcessingWorkflow, ResNet152Workflow,
 from tests.helpers import EventCounter
 
 COUNTS = {
-    ImageProcessingWorkflow: {"timeout": 2047, "initialize": 2009,
-                              "process": 1983, "condition": 602,
-                              "plain": 1555, "processes": 2009},
-    ResNet152Workflow: {"timeout": 1852, "initialize": 1370,
-                        "process": 1455, "condition": 390,
-                        "plain": 1723, "processes": 1481},
-    XGBoostWorkflow: {"timeout": 5533, "initialize": 2998,
-                      "process": 2972, "condition": 1068,
-                      "plain": 1132, "processes": 2998},
+    ImageProcessingWorkflow: {"timeout": 2047, "initialize": 1204,
+                              "process": 1178, "condition": 602,
+                              "plain": 2360, "processes": 1204},
+    ResNet152Workflow: {"timeout": 1852, "initialize": 887,
+                        "process": 972, "condition": 390,
+                        "plain": 2206, "processes": 998},
+    XGBoostWorkflow: {"timeout": 5533, "initialize": 1367,
+                      "process": 1341, "condition": 1068,
+                      "plain": 2763, "processes": 1367},
 }
 
 
