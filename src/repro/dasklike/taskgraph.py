@@ -253,16 +253,23 @@ def fuse_linear_chains(graph: TaskGraph, name: Optional[str] = None) -> TaskGrap
     ``read_parquet`` chained into an ``assign`` becomes
     ``read_parquet-fused-assign``, the exact category the paper's Fig. 6
     highlights).  Costs add; the fused output size is the tail's.
+
+    The result holds the fused tasks first, in the order of their
+    chains' heads in :meth:`TaskGraph.toposort`, then every other task
+    in the input's order.  A dependency on a chain member becomes one
+    on the chain's fused key; a task none of whose dependencies
+    changes is kept as the same :class:`TaskSpec` object.
     """
     graph.validate(allow_external=True)
     dependents = graph.dependents()
-    tasks = graph.tasks
+    tasks = graph._tasks
 
-    # Walk chains from their heads.
-    fused_into: dict[str, str] = {}
-    chains: dict[str, list[str]] = {}
+    # Walk chains from their heads, naming each fused task.  Only then
+    # are dependencies rewritten: a head may depend on a later chain.
+    chains: list[tuple[list[str], object]] = []
+    replaced: dict[str, object] = {}
     for head in graph.toposort():
-        if head in fused_into:
+        if head in replaced:
             continue
         chain = [head]
         current = head
@@ -270,72 +277,60 @@ def fuse_linear_chains(graph: TaskGraph, name: Optional[str] = None) -> TaskGrap
             deps_of = dependents[current]
             if len(deps_of) != 1:
                 break
-            nxt = next(iter(deps_of))
-            in_graph_deps = [
-                d for d in tasks[nxt].deps if key_str(d) in tasks
-            ]
-            if len(in_graph_deps) != 1:
+            (nxt,) = deps_of
+            if sum(dep in tasks for dep in tasks[nxt].dep_names) != 1:
                 break
             chain.append(nxt)
             current = nxt
         if len(chain) > 1:
+            new_key = _fused_key([tasks[m] for m in chain])
             for member in chain:
-                fused_into[member] = chain[0]
-            chains[chain[0]] = chain
+                replaced[member] = new_key
+            chains.append((chain, new_key))
+
+    def rewritten(task: TaskSpec) -> tuple:
+        return tuple(replaced.get(dep_name, dep)
+                     for dep, dep_name in zip(task.deps, task.dep_names))
 
     out = TaskGraph(name=name or f"{graph.name}-fused")
-    replaced: dict[str, object] = {}
-    for head, chain in chains.items():
+    for chain, new_key in chains:
         members = [tasks[m] for m in chain]
-        prefixes = []
-        for member in members:
-            if member.prefix not in prefixes:
-                prefixes.append(member.prefix)
-        if len(prefixes) > 1:
-            fused_prefix = "-fused-".join([prefixes[0], prefixes[-1]]) \
-                if len(prefixes) == 2 else "-fused-".join(prefixes)
-        else:
-            fused_prefix = prefixes[0]
-        head_task = members[0]
-        tail_task = members[-1]
-        token = head_task.group.split("-")[-1] if "-" in head_task.group else "0"
-        if isinstance(head_task.key, tuple) and len(head_task.key) > 1:
-            new_key = (f"{fused_prefix}-{token}",) + tuple(head_task.key[1:])
-        else:
-            new_key = f"{fused_prefix}-{token}"
         member_retries = [m.retries for m in members if m.retries is not None]
         member_timeouts = [m.timeout for m in members if m.timeout is not None]
-        fused = TaskSpec(
+        out.add(TaskSpec(
             key=new_key,
-            deps=tuple(
-                d for d in head_task.deps
-            ),
+            deps=rewritten(members[0]),
             compute_time=sum(m.compute_time for m in members),
             reads=tuple(op for m in members for op in m.reads),
             writes=tuple(op for m in members for op in m.writes),
-            output_nbytes=tail_task.output_nbytes,
+            output_nbytes=members[-1].output_nbytes,
             # A fused node runs every member's work in one attempt: it
             # keeps the most generous member retry budget and the sum of
             # the member time limits.
             retries=max(member_retries) if member_retries else None,
             timeout=sum(member_timeouts) if member_timeouts else None,
-        )
-        for member in chain:
-            replaced[member] = new_key
-        out.add(fused)
-
+        ))
     for name_, task in tasks.items():
-        if name_ in fused_into:
+        if name_ in replaced:
             continue
-        new_deps = tuple(
-            replaced.get(key_str(d), d) for d in task.deps
-        )
-        out.add(replace(task, deps=new_deps))
+        if any(dep_name in replaced for dep_name in task.dep_names):
+            task = replace(task, deps=rewritten(task))
+        out.add(task)
+    out.validate(allow_external=True)
+    return out
 
-    # Rewrite deps of fused tasks too (their heads may depend on fused keys).
-    final = TaskGraph(name=out.name)
-    for task in out.tasks.values():
-        new_deps = tuple(replaced.get(key_str(d), d) for d in task.deps)
-        final.add(replace(task, deps=new_deps))
-    final.validate(allow_external=True)
-    return final
+
+def _fused_key(members: list[TaskSpec]) -> object:
+    """The key of the task fusing the chain ``members``: their distinct
+    prefixes joined by ``-fused-``, then the head's token, and the
+    head's index for a tuple key."""
+    prefixes = []
+    for member in members:
+        if member.prefix not in prefixes:
+            prefixes.append(member.prefix)
+    fused_prefix = "-fused-".join(prefixes)
+    head_task = members[0]
+    token = head_task.group.split("-")[-1] if "-" in head_task.group else "0"
+    if isinstance(head_task.key, tuple) and len(head_task.key) > 1:
+        return (f"{fused_prefix}-{token}",) + tuple(head_task.key[1:])
+    return f"{fused_prefix}-{token}"
