@@ -9,15 +9,16 @@ metadata dict exactly as the producer pushed it, and its payload in a
 for consumers that ask for one.  The metadata is JSON-encoded
 only when the partition is persisted: :meth:`Partition.dump` writes it
 as a :class:`~repro.mofka.yokan.YokanStore` (keyed by zero-padded
-offset, so prefix scans return events in order, values JSON with sorted
-keys) and :meth:`Partition.load` parses it back, faithful to the Mochi
-composition on disk.  Each event is thus JSON inside JSON; both layers
-are decoded with one ``json.loads`` per partition, not one per event.
+offset, so prefix scans return events in order) whose value per key is
+the event's row object, ``{"metadata", "region", "timestamp"}``, and
+:meth:`Partition.load` parses it back, faithful to the Mochi
+composition on disk.  Each row is encoded once, as part of its Yokan
+line, and a partition is decoded with one ``json.loads``, not one per
+event.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Iterator, Optional
 
@@ -84,7 +85,7 @@ class Partition:
         store = YokanStore(f"{self.topic}.{self.index}.meta")
         for offset, (timestamp, metadata, region) in enumerate(
                 self._entries):
-            store.put_json(f"evt/{offset:012d}", {
+            store.put(f"evt/{offset:012d}", {
                 "timestamp": timestamp,
                 "metadata": metadata,
                 "region": region,
@@ -96,19 +97,27 @@ class Partition:
     def load(cls, directory: str, topic: str, index: int) -> "Partition":
         """Reload a partition :meth:`dump` wrote.
 
-        The ``evt/`` values, one JSON object per event, are parsed with
-        one ``json.loads`` over their joined text.  Every
-        :meth:`append` creates exactly one Warabi region, so a
-        ``.warabi`` holding another number of blobs than there are
-        entries is rejected with :class:`ValueError`.
+        The ``evt/`` values, one JSON object per event, come parsed
+        from the Yokan file's one ``json.loads``.  A file whose values
+        are strings holding the JSON of an event, the double-encoded
+        format of earlier versions, is rejected with
+        :class:`ValueError`; so is a ``.warabi`` holding another number
+        of blobs than there are entries, since every :meth:`append`
+        creates exactly one Warabi region.
         """
         base = os.path.join(directory, f"{topic}.{index}")
         part = cls(topic, index)
         store = YokanStore.load(base + ".meta.jsonl")
-        rows = json.loads(
-            "[" + ",".join(v for _, v in store.iter_prefix("evt/")) + "]")
-        part._entries = [(raw["timestamp"], raw["metadata"], raw["region"])
-                         for raw in rows]
+        try:
+            part._entries = [
+                (raw["timestamp"], raw["metadata"], raw["region"])
+                for _, raw in store.iter_prefix("evt/")]
+        except TypeError:
+            raise ValueError(
+                f"{base}.meta.jsonl: an evt/ value is not an event "
+                f"object; values that are strings of JSON are the "
+                f"double-encoded partition format, which is not read"
+            ) from None
         part.data_store = WarabiStore.load(base + ".warabi")
         if len(part.data_store) != len(part._entries):
             raise ValueError(

@@ -7,12 +7,15 @@ and bootstrapping, and SSG for group membership and fault detection"
 scans, used by the broker to index partition offsets and topic
 metadata, with optional JSON-lines persistence.
 
-A persisted store is one line ``{"k": <key>, "v": <value>}`` per key,
-in key order, spelled exactly as ``json.dumps`` spells that dict.  The
-codec works on the whole file at once: :meth:`YokanStore.dump` writes
-every line in one ``write`` and :meth:`YokanStore.load` parses every
-line with one ``json.loads``, so a partition of thousands of events
-pays no ``json.dumps`` or ``json.loads`` per line.
+Keys are strings and values are JSON values, held as the Python objects
+``json`` maps them to.  A persisted store is one line per key, in key
+order, spelled exactly as ``json.dumps({"k": key, "v": value},
+sort_keys=True)``: a value is encoded once, as part of its line, not
+first to a string that the line then escapes.  The codec works on the
+whole file at once: :meth:`YokanStore.dump` writes every line in one
+``write`` and :meth:`YokanStore.load` parses every line with one
+``json.loads``, so a partition of thousands of events pays no
+``json.dumps`` or ``json.loads`` call per line.
 """
 
 from __future__ import annotations
@@ -24,25 +27,26 @@ from typing import Iterator, Optional
 
 __all__ = ["YokanStore"]
 
-#: The encoder behind :meth:`YokanStore.put_json`.  ``json.dumps(value,
-#: sort_keys=True)`` builds a new ``JSONEncoder`` on every call; this
-#: one is built once and holds no per-call state.
+#: The encoder of every value.  ``json.dumps(value, sort_keys=True)``
+#: builds a new ``JSONEncoder`` on every call; this one is built once
+#: and holds no per-call state.
 _SORTED_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class YokanStore:
-    """An ordered string-keyed store with prefix iteration."""
+    """An ordered string-keyed store of JSON values, with prefix
+    iteration.  A value is kept as given, not copied."""
 
     def __init__(self, name: str = "yokan"):
         self.name = name
-        self._data: dict[str, str] = {}
+        self._data: dict[str, object] = {}
 
-    def put(self, key: str, value: str) -> None:
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise TypeError("Yokan stores string keys and values")
+    def put(self, key: str, value: object) -> None:
+        if not isinstance(key, str):
+            raise TypeError("Yokan keys are strings")
         self._data[key] = value
 
-    def get(self, key: str) -> str:
+    def get(self, key: str) -> object:
         try:
             return self._data[key]
         except KeyError:
@@ -60,31 +64,26 @@ class YokanStore:
     def list_keys(self, prefix: str = "") -> list[str]:
         return sorted(k for k in self._data if k.startswith(prefix))
 
-    def iter_prefix(self, prefix: str = "") -> Iterator[tuple[str, str]]:
+    def iter_prefix(self, prefix: str = "") -> Iterator[tuple[str, object]]:
         for key in self.list_keys(prefix):
             yield key, self._data[key]
-
-    # -- JSON convenience --------------------------------------------------
-    def put_json(self, key: str, value: object) -> None:
-        self.put(key, _SORTED_ENCODER.encode(value))
-
-    def get_json(self, key: str) -> object:
-        return json.loads(self.get(key))
 
     # -- persistence ---------------------------------------------------------
     def dump(self, path: str) -> None:
         """Write one ``{"k": ..., "v": ...}`` line per key, in key order.
 
-        Each line is spelled by hand with ``encode_basestring_ascii``,
-        the function ``json.dumps`` itself uses for a ``str``; since
-        :meth:`put` admits only ``str`` keys and values, the bytes are
-        those of ``json.dumps({"k": key, "v": value})``.
+        Each line is spelled by hand: the key with
+        ``encode_basestring_ascii``, the function ``json.dumps`` itself
+        uses for a ``str``, and the value with the sorted encoder.  The
+        bytes are those of ``json.dumps({"k": key, "v": value},
+        sort_keys=True)``, whose two top-level keys already sort.
         """
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         data = self._data
+        encode = _SORTED_ENCODER.encode
         text = "".join([
             '{"k": ' + encode_basestring_ascii(key) + ', "v": '
-            + encode_basestring_ascii(data[key]) + '}\n'
+            + encode(data[key]) + '}\n'
             for key in self.list_keys()
         ])
         with open(path, "w", encoding="utf-8") as fh:

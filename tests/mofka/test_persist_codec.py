@@ -1,13 +1,16 @@
-"""The persisted-stream codec against the per-line codec it replaced.
+"""The persisted-stream codec against a per-line reference.
 
 :class:`~repro.mofka.YokanStore`, :meth:`Partition.dump`/:meth:`load
 <repro.mofka.topic.Partition.load>` and :class:`~repro.mofka.WarabiStore`
 encode and decode a whole file at once.  The ``ref_*`` functions below
-are the per-line bodies they replaced, taking and returning plain data.
+spell the same formats one line or blob at a time, taking and returning
+plain data: a Yokan line is ``json.dumps({"k": key, "v": value},
+sort_keys=True)``, and a partition's value per event is its row object.
 Under derandomized Hypothesis both sides must write the same bytes and
 load the same entries, on metadata that covers what JSON escaping and
-line splitting can get wrong.  The truncation tests pin that a cut-off
-``.warabi``, or one holding the wrong number of blobs, fails to reload.
+line splitting can get wrong.  The format tests pin that a cut-off
+``.warabi``, one holding the wrong number of blobs, or a ``.meta.jsonl``
+in the double-encoded format of earlier versions fails to reload.
 """
 
 import json
@@ -31,7 +34,8 @@ SETTINGS = settings(derandomize=True, max_examples=100, deadline=None,
 def ref_yokan_dump(data: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(data):
-            fh.write(json.dumps({"k": key, "v": data[key]}) + "\n")
+            fh.write(json.dumps({"k": key, "v": data[key]}, sort_keys=True)
+                     + "\n")
 
 
 def ref_yokan_load(path: str) -> dict:
@@ -66,11 +70,11 @@ def ref_partition_dump(entries: list, blobs: list, base: str) -> None:
     """``entries`` are ``(timestamp, metadata, region)``."""
     data = {}
     for offset, (timestamp, metadata, region) in enumerate(entries):
-        data[f"evt/{offset:012d}"] = json.dumps({
+        data[f"evt/{offset:012d}"] = {
             "timestamp": timestamp,
             "metadata": metadata,
             "region": region,
-        }, sort_keys=True)
+        }
     ref_yokan_dump(data, base + ".meta.jsonl")
     ref_warabi_dump(blobs, base + ".warabi")
 
@@ -79,7 +83,7 @@ def ref_partition_load(base: str) -> tuple[list, list]:
     data = ref_yokan_load(base + ".meta.jsonl")
     entries = []
     for key in sorted(k for k in data if k.startswith("evt/")):
-        raw = json.loads(data[key])
+        raw = data[key]
         entries.append((raw["timestamp"], raw["metadata"], raw["region"]))
     return entries, ref_warabi_load(base + ".warabi")
 
@@ -119,8 +123,15 @@ def read(path: str) -> bytes:
         return fh.read()
 
 
+def as_json(value) -> str:
+    """Values compared as JSON text with sorted keys: equal for
+    NaN-bearing values and for dicts in another key order, and tells
+    -0.0 from 0.0 and 1 from 1.0 or True."""
+    return json.dumps(value, sort_keys=True)
+
+
 # -- codec vs reference ------------------------------------------------------
-@given(st.dictionaries(TEXT, TEXT, max_size=8))
+@given(st.dictionaries(TEXT, JSON, max_size=8))
 @SETTINGS
 def test_yokan_store_matches_reference(data):
     store = YokanStore()
@@ -132,8 +143,8 @@ def test_yokan_store_matches_reference(data):
         ref_yokan_dump(data, ref)
         assert read(path) == read(ref)
         loaded = YokanStore.load(ref)
-        assert list(loaded.iter_prefix()) == \
-            sorted(ref_yokan_load(ref).items())
+        assert as_json(list(loaded.iter_prefix())) == \
+            as_json(sorted(ref_yokan_load(ref).items()))
 
 
 @given(st.dictionaries(UTF8_TEXT, UTF8_TEXT, max_size=8))
@@ -146,7 +157,8 @@ def test_yokan_load_splits_only_on_newline(data):
         with open(path, "w", encoding="utf-8") as fh:
             for key, value in data.items():
                 fh.write(json.dumps({"k": key, "v": value},
-                                    ensure_ascii=False) + "\n")
+                                    ensure_ascii=False, sort_keys=True)
+                         + "\n")
         assert list(YokanStore.load(path).iter_prefix()) == \
             sorted(ref_yokan_load(path).items())
 
@@ -154,9 +166,15 @@ def test_yokan_load_splits_only_on_newline(data):
 @given(JSON)
 @SETTINGS
 def test_put_json_spells_json_dumps_sorted(value):
+    """A stored JSON value persists as its line, encoded once."""
     store = YokanStore()
-    store.put_json("k", value)
-    assert store.get("k") == json.dumps(value, sort_keys=True)
+    store.put("k", value)
+    assert store.get("k") is value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "kv")
+        store.dump(path)
+        assert read(path).decode() == \
+            json.dumps({"k": "k", "v": value}, sort_keys=True) + "\n"
 
 
 @given(st.lists(PAYLOADS, max_size=8))
@@ -192,17 +210,18 @@ def test_partition_matches_reference(entries):
             assert read(base + suffix) == read(ref + suffix)
         loaded = Partition.load(tmp, "t", 0)
         ref_entries, ref_blobs = ref_partition_load(base)
-    assert len(loaded) == len(ref_entries)
-    for event, (timestamp, metadata, region) in zip(
-            loaded.read_range(0), ref_entries):
-        # Compared as JSON: equal for NaN-bearing values, and tells
-        # -0.0 from 0.0 and 1 from 1.0 or True.
-        assert json.dumps(event.timestamp) == json.dumps(timestamp)
-        assert json.dumps(event.metadata) == json.dumps(metadata)
+    assert len(loaded) == len(ref_entries) == len(entries)
+    for event, (timestamp, metadata, region), (live_timestamp,
+                                               live_metadata, _) in zip(
+            loaded.read_range(0), ref_entries, entries):
+        assert as_json(event.timestamp) == as_json(timestamp) == \
+            as_json(live_timestamp)
+        assert as_json(event.metadata) == as_json(metadata) == \
+            as_json(live_metadata)
         assert event.data == ref_blobs[region]
 
 
-# -- truncated and mismatched files ------------------------------------------
+# -- truncated, mismatched and outdated files ---------------------------------
 class TestTruncatedWarabi:
     def dump(self, tmp_path, *blobs) -> str:
         store = WarabiStore()
@@ -241,4 +260,22 @@ def test_blob_count_mismatch_names_the_partition(tmp_path, n_blobs):
     blobs.dump(str(tmp_path / "t.0.warabi"))
     with pytest.raises(ValueError, match=re.escape(
             f"partition t.0: {n_blobs} Warabi blobs for 2 events")):
+        Partition.load(str(tmp_path), "t", 0)
+
+
+def test_double_encoded_partition_rejected(tmp_path):
+    """A ``.meta.jsonl`` whose values are strings holding each row's
+    JSON, as earlier versions wrote it, fails to reload with an error
+    that names the file and the format."""
+    row = {"metadata": {"type": "warning"}, "region": 0, "timestamp": 1.0}
+    with open(tmp_path / "t.0.meta.jsonl", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"k": "evt/000000000000",
+                             "v": json.dumps(row, sort_keys=True)}) + "\n")
+    blobs = WarabiStore()
+    blobs.create(b"")
+    blobs.dump(str(tmp_path / "t.0.warabi"))
+    with pytest.raises(ValueError, match=re.escape(
+            f"{tmp_path / 't.0.meta.jsonl'}: an evt/ value is not an event "
+            f"object; values that are strings of JSON are the "
+            f"double-encoded partition format")):
         Partition.load(str(tmp_path), "t", 0)

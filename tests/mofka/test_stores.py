@@ -19,7 +19,7 @@ class TestYokan:
 
     def test_type_checked(self):
         with pytest.raises(TypeError):
-            YokanStore().put("k", 42)
+            YokanStore().put(42, "v")
 
     def test_erase_idempotent(self):
         store = YokanStore()
@@ -37,18 +37,22 @@ class TestYokan:
 
     def test_json_roundtrip(self):
         store = YokanStore()
-        store.put_json("j", {"x": [1, 2], "y": None})
-        assert store.get_json("j") == {"x": [1, 2], "y": None}
+        value = {"x": [1, 2], "y": None}
+        store.put("j", value)
+        assert store.get("j") is value
 
     def test_dump_load(self, tmp_path):
         store = YokanStore()
         store.put("a", "1")
-        store.put_json("b", {"nested": True})
+        store.put("b", {"nested": True, "n": [1.5, None]})
         path = str(tmp_path / "dir" / "kv.jsonl")
         store.dump(path)
+        assert (tmp_path / "dir" / "kv.jsonl").read_bytes() == (
+            b'{"k": "a", "v": "1"}\n'
+            b'{"k": "b", "v": {"n": [1.5, null], "nested": true}}\n')
         loaded = YokanStore.load(path)
         assert loaded.get("a") == "1"
-        assert loaded.get_json("b") == {"nested": True}
+        assert loaded.get("b") == {"nested": True, "n": [1.5, None]}
 
 
 class TestWarabi:

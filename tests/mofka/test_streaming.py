@@ -77,7 +77,8 @@ class TestTopic:
 
     def test_dump_writes_the_yokan_encoding(self, tmp_path):
         # Live partitions keep the pushed dicts; the persisted form is
-        # the Yokan store: offset keys, values JSON with sorted keys.
+        # the Yokan store: offset keys, each value the event's row
+        # object, with sorted keys.
         topic = Topic("t", 1)
         part = topic.partitions[0]
         part.append({"type": "task_run", "worker": "w1", "key": "x-0",
@@ -86,12 +87,12 @@ class TestTopic:
                     b"abc", 2.5)
         topic.dump(str(tmp_path))
         assert (tmp_path / "t.0.meta.jsonl").read_bytes() == (
-            rb'{"k": "evt/000000000000", "v": "{\"metadata\": {\"key\": '
-            rb'\"x-0\", \"stop\": 1.5, \"type\": \"task_run\", \"worker\": '
-            rb'\"w1\"}, \"region\": 0, \"timestamp\": 0.25}"}' b"\n"
-            rb'{"k": "evt/000000000001", "v": "{\"metadata\": {\"kind\": '
-            rb'\"gc\", \"time\": 2.0, \"type\": \"warning\"}, \"region\": 1, '
-            rb'\"timestamp\": 2.5}"}' b"\n")
+            b'{"k": "evt/000000000000", "v": {"metadata": {"key": "x-0", '
+            b'"stop": 1.5, "type": "task_run", "worker": "w1"}, '
+            b'"region": 0, "timestamp": 0.25}}\n'
+            b'{"k": "evt/000000000001", "v": {"metadata": {"kind": "gc", '
+            b'"time": 2.0, "type": "warning"}, "region": 1, '
+            b'"timestamp": 2.5}}\n')
         assert (tmp_path / "t.0.warabi").read_bytes() == (
             (0).to_bytes(8, "little") + (3).to_bytes(8, "little") + b"abc")
 

@@ -39,19 +39,19 @@ GOLDENS = {
         "mofka/MANIFEST":
             "ce276c1de89bb44c0342d6533e24c58872119f7dfb68e64fa4c3cef670d5c2da",
         "mofka/dask-provenance.0.meta.jsonl":
-            "e594952c38cbfe52ab2adcfad0b25db3b6c5e532d6497d1eb5e7bf72d4c58b23",
+            "3eb799595ceec0ed6b93f7e0260e2896f6bf3ce44e613829ea7362dc72d5cdd0",
         "mofka/dask-provenance.0.warabi":
             "e6f25ee8a745505edc8f2e32cbab78f03f092957cee9e3a7c3abc3a9ce5b55ab",
         "mofka/dask-provenance.1.meta.jsonl":
-            "4d8f6a93f84a289f8ab44408776ef14ed6e4ae235faf35834c8271e52d9ebce8",
+            "c9f8d9283c212d79c325b444b48c80b936053c0aaf8198ac4beaff2ae2f39a13",
         "mofka/dask-provenance.1.warabi":
             "eebadb4a2810efcd7a6d36f59706a9aaf7b3d534e806dccaae647af2725927c7",
         "mofka/dask-provenance.2.meta.jsonl":
-            "23e49103c6fe47404c041f138a34875f504bb7c55b21ad562c5e040ca14303e0",
+            "a0056f7289dcc47b97d9bba846db880036e9c9f9ce80860f60935495fd53e07e",
         "mofka/dask-provenance.2.warabi":
             "5cb1832ef1945f0c1dc08cb1b4e7db1e6e1e28a55e4fa881f5862e795aeffa8d",
         "mofka/dask-provenance.3.meta.jsonl":
-            "c75cdf7c5991c5f4a30b483878b06d5309b8ffe442b4d28225830f09920c16e9",
+            "65533372e20f8f97cb79d08f46f972c4d939da8573bbbb09c61e2b73f0aad5b5",
         "mofka/dask-provenance.3.warabi":
             "c1bf70b7ddfd8699d94de938961fa89ca80467628fd22202192b2e43d497f164",
         "darshan/worker-000.darshan.json.gz":
@@ -79,19 +79,19 @@ GOLDENS = {
         "mofka/MANIFEST":
             "ce276c1de89bb44c0342d6533e24c58872119f7dfb68e64fa4c3cef670d5c2da",
         "mofka/dask-provenance.0.meta.jsonl":
-            "95937957b60d4e9da767b8b9676ac77b105bad731cb7bfe6d1e8fa9bfb208efd",
+            "abf257000be44ca87e57c63a5362950d97fc8e2374afdbb06d6960eec0ca4c3d",
         "mofka/dask-provenance.0.warabi":
             "5e9fae97821b550878ea55b6b0f9d96f61e08f08b04e3205c6a0e4d744047f0d",
         "mofka/dask-provenance.1.meta.jsonl":
-            "797b1adde3b440a68a7b6089514434d4e513918a8e5df0c4296268c7e4598552",
+            "d53a56296deb07dfb982af3ae9ddf3c67eec17417c25aedbb4489606516a743b",
         "mofka/dask-provenance.1.warabi":
             "c2dece9c9f14c67b8aafabdcb80793f1cffe95a801e15d648fd214a0522ee825",
         "mofka/dask-provenance.2.meta.jsonl":
-            "ac4b0ff9b0f439caa49d8b6d29059f6ba9b7d6c24b77e1d22fb3c9695a3a382a",
+            "69520da6290a96a539fe58d55d74019b571f3a7b5596ffb115381844fe13972c",
         "mofka/dask-provenance.2.warabi":
             "2b1b920dc641c4fc04e479010122eb7e8861af9fc9ee2fe3b1e9fcdaaf44ce3b",
         "mofka/dask-provenance.3.meta.jsonl":
-            "7b34c806b9a2f7692698e4e038b39b3ef00921e2b4b627b3568d6ddf15ea051b",
+            "91743d3277e6770339837d7864fbed813ada2fad07146750e4ce98263d114083",
         "mofka/dask-provenance.3.warabi":
             "e616feaaa718592e1a1e66e32d80c8e66277d6a8b6488fd853ef7081f7dca8ab",
         "darshan/worker-000.darshan.json.gz":
@@ -119,19 +119,19 @@ GOLDENS = {
         "mofka/MANIFEST":
             "ce276c1de89bb44c0342d6533e24c58872119f7dfb68e64fa4c3cef670d5c2da",
         "mofka/dask-provenance.0.meta.jsonl":
-            "0e66ea797425aa4f53da616b817164895493a3fc6a199d265256304e30659f41",
+            "e8dcf647f736d53689529907b18a8b088bd6b8868027ad55becbfa6a145a9b74",
         "mofka/dask-provenance.0.warabi":
             "2877809b5417e3aef19a1f8e70f8b5b8b4757edc9ce3d5d3991f7407f46c9dd6",
         "mofka/dask-provenance.1.meta.jsonl":
-            "8751a7eae4f98444c56d079df4980912b30d972c1adc28251a9983ed2ae74e84",
+            "0260167ebbeef33a402d796fc831fb2c105b21a213a7b8a38f0e609e6b17b8fc",
         "mofka/dask-provenance.1.warabi":
             "15ac6aff90154c65cf4d4f71cc7c70bc0f8f4b235a329965e51e95869bd3c588",
         "mofka/dask-provenance.2.meta.jsonl":
-            "55d94d64ed2b888ede7e43e32bb171ee89989bc9832e2fe2bd2303bfe894e3ef",
+            "b6a5f9612efd799c73343f08525221dacac84b897bbe489aca235dbba26677d0",
         "mofka/dask-provenance.2.warabi":
             "b70a8b36a22dce2d8436711144a12b44358158aebf8b2e7994e82d3a7c7e005f",
         "mofka/dask-provenance.3.meta.jsonl":
-            "c5c57601eefbaa65d2f18bb101407809fac95b82b11511212e8e8c10324a0de0",
+            "f37288fa84c25f8832ca0bf84d1f1a26c6a6c5e4eb4a3f18e151d7850c5cc0aa",
         "mofka/dask-provenance.3.warabi":
             "f2a21c6495254d9eb8b67df4c8152228fe4abcbd0796bbde95327e67e4a1c25a",
         "darshan/worker-000.darshan.json.gz":
