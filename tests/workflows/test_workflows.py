@@ -16,20 +16,10 @@ from repro.core import (
     oversized_tasks,
 )
 from repro.dasklike import DaskCluster, DaskConfig
-from repro.dasklike.records import (
-    CommRecord,
-    SpillRecord,
-    StealEvent,
-    TaskRun,
-    WarningRecord,
-)
-from repro.dasklike.states import TransitionRecord
 from repro.faults import FAULT_KINDS, FaultSchedule, FaultSpec
 from repro.instrument import InstrumentedRun
 from repro.mofka import Event
 from repro.mofka.topic import Partition
-from repro.platform.network import TransferRecord
-from repro.sim.engine import Condition
 from repro.telemetry import Telemetry
 from repro.workflows import (
     ImageProcessingWorkflow,
@@ -41,18 +31,17 @@ from repro.workflows import (
 )
 
 
-def cyclic_garbage(factory, keep, **run_kwargs):
+def cyclic_garbage(factory, **run_kwargs):
     """Run ``factory`` at scale 0.03 with the cyclic GC off, and count
-    by type the objects that only a collection would free and that
-    ``keep`` accepts.  ``run_kwargs`` go to :func:`run_workflow`."""
+    by type the objects that only a collection would free.
+    ``run_kwargs`` go to :func:`run_workflow`."""
     return _cyclic_garbage(
-        lambda: run_workflow(factory(scale=0.03), seed=41, **run_kwargs),
-        keep)
+        lambda: run_workflow(factory(scale=0.03), seed=41, **run_kwargs))
 
 
-def _cyclic_garbage(call, keep):
+def _cyclic_garbage(call):
     """``call()`` with the cyclic GC off, and the objects by type that
-    only a collection would free and that ``keep`` accepts."""
+    only a collection would free."""
     enabled, flags = gc.isenabled(), gc.get_debug()
     gc.collect()
     gc.disable()
@@ -60,17 +49,13 @@ def _cyclic_garbage(call, keep):
         result = call()
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        left = Counter(type(obj).__name__ for obj in gc.garbage if keep(obj))
+        left = Counter(type(obj).__name__ for obj in gc.garbage)
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
         if enabled:
             gc.enable()
     return result, left
-
-
-def everything(obj):
-    return True
 
 
 class TestScaled:
@@ -280,27 +265,18 @@ class TestRunner:
     @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
                                          ResNet152Workflow,
                                          XGBoostWorkflow])
-    def test_records_die_with_their_hook(self, factory):
-        """The WMS hands each record to its plugins and keeps none, so
-        reference counting frees a record when its last hook returns:
-        with the cyclic GC off, a finished run leaves no record for the
-        collector to find in the run's dead object graph."""
-        records = (TransitionRecord, TaskRun, CommRecord, WarningRecord,
-                   SpillRecord, StealEvent, TransferRecord)
-        result, left = cyclic_garbage(
-            factory, lambda obj: isinstance(obj, records))
-        assert len(result.data.events) > 1000
-        assert left == Counter()
-
-    @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
-                                         ResNet152Workflow,
-                                         XGBoostWorkflow])
     def test_finished_run_frees_itself(self, factory):
         """A finished run holds no reference cycle: the cluster is
         closed, the processes still waiting on the clock are ended and
         no grant refers to itself, so with the cyclic GC off nothing of
-        the run is left for a collection."""
-        result, left = cyclic_garbage(factory, everything)
+        the run is left for a collection.
+
+        That covers two narrower claims.  The WMS hands each record to
+        its plugins and keeps none, so no record outlives its last hook.
+        A condition that fired detaches from the components still
+        pending, so the Mofka flusher's withdrawn ``Store.get`` and the
+        ``AnyOf`` that waited on it do not keep each other alive."""
+        result, left = cyclic_garbage(factory)
         assert len(result.data.events) > 1000
         assert left == Counter()
 
@@ -317,8 +293,7 @@ class TestRunner:
             kind = variant[len("fault-"):]
             kwargs = {"faults": FaultSchedule(
                 [FaultSpec(kind, 0.8, duration=3.0)])}
-        result, left = cyclic_garbage(ImageProcessingWorkflow, everything,
-                                      **kwargs)
+        result, left = cyclic_garbage(ImageProcessingWorkflow, **kwargs)
         assert all(record["fired"] for record in result.fault_records)
         assert left == Counter()
 
@@ -329,10 +304,9 @@ class TestRunner:
         and none of them to the run."""
         _, encoder = _cyclic_garbage(
             lambda: [json.dump({"a": [1.0]}, io.StringIO(), indent=2)
-                     for _ in range(2)],
-            everything)
+                     for _ in range(2)])
         assert encoder
-        _, left = cyclic_garbage(ImageProcessingWorkflow, everything,
+        _, left = cyclic_garbage(ImageProcessingWorkflow,
                                  persist_dir=str(tmp_path))
         assert left == encoder
 
@@ -365,15 +339,3 @@ class TestRunner:
         before, after = files(tmp_path / "before"), files(tmp_path / "after")
         assert len(before) > 10 and before.keys() == after.keys()
         assert [path for path in before if before[path] != after[path]] == []
-
-    @pytest.mark.parametrize("factory", [ImageProcessingWorkflow,
-                                         ResNet152Workflow,
-                                         XGBoostWorkflow])
-    def test_no_fired_condition_waits_for_the_collector(self, factory):
-        """A condition that fired detaches from the components still
-        pending, so the Mofka flusher's withdrawn ``Store.get`` and the
-        ``AnyOf`` that waited on it do not keep each other alive."""
-        result, left = cyclic_garbage(
-            factory, lambda obj: isinstance(obj, Condition) and obj.triggered)
-        assert len(result.data.events) > 1000
-        assert left == Counter()
